@@ -4,7 +4,9 @@ Every kernel here stacks trials along a leading batch axis and reproduces
 the corresponding single-instance reference implementation (the sibling
 modules) to numerical precision; the test suite cross-checks each pair.
 Shapes: H is (B, N, M), y is (B, N), messages carry a trailing
-constellation axis of length Q.
+constellation axis of length Q. Inside, the lattice kernels (ML, MAP, BP1)
+put the L = Q^M lattice points first and the trials last, e.g. (L, N, B),
+so that their reductions run over long contiguous rows.
 """
 
 from __future__ import annotations
@@ -18,13 +20,22 @@ from .errors import CapacityError
 from .exact import MAX_LATTICE_BITS, lattice_indices
 
 
+# Shifted exponents below about -708 leave the normal double range, where
+# exp is tens of times slower. Next to the max term exp(0) = 1 such terms
+# are under 1e-304, so clamping them to this floor leaves every sum as is.
+_EXP_FLOOR = -700.0
+
+
 def _lse(a, axis):
     m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+    t = a - m
+    np.maximum(t, _EXP_FLOOR, out=t)
+    np.exp(t, out=t)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(t, axis=axis))
 
 
-def _norm_log(lp):
-    return lp - _lse(lp, axis=-1)[..., None]
+def _norm_log(lp, axis=-1):
+    return lp - np.expand_dims(_lse(lp, axis=axis), axis)
 
 
 def full_covariance(H, sigma2):
@@ -45,35 +56,57 @@ def lmmse_batch(H, y, sigma2):
     return xhat, mmse
 
 
-def _lattice_metrics(H, y, constellation):
-    """Squared residual |y - H s|^2 for every lattice point; (B, L)."""
-    m = H.shape[2]
-    if m * constellation.bits_per_symbol > MAX_LATTICE_BITS:
-        raise CapacityError("lattice enumeration exceeds the 2^24 cap")
+def check_lattice_capacity(m, constellation, what="lattice enumeration"):
+    """Raise CapacityError, before any lattice-sized allocation, past the cap."""
+    bits = m * constellation.bits_per_symbol
+    if bits > MAX_LATTICE_BITS:
+        raise CapacityError(
+            f"{what} needs a lattice of 2^{bits} points, over the 2^{MAX_LATTICE_BITS} cap")
+
+
+def _lattice_marginals(w, size, k):
+    """Log-marginals of every lattice digit; (size**k, ...) -> (k, size, ...).
+
+    The lattice axis leads and the batch axes trail, so every reduction
+    runs over long contiguous rows. The lattice is split into its leading
+    k//2 and trailing k - k//2 digits; each half is summed out with a
+    log-sum-exp shifted by the max per retained index, and the recursion
+    continues on the two smaller tables. The full lattice is thus
+    exponentiated twice rather than once per digit.
+    """
+    if k == 1:
+        return w[None]
+    lead = k // 2
+    blocks = w.reshape((size ** lead, size ** (k - lead)) + w.shape[1:])
+    return np.concatenate([_lattice_marginals(_lse(blocks, axis=1), size, lead),
+                           _lattice_marginals(_lse(blocks, axis=0), size, k - lead)])
+
+
+def _lattice_sq_residuals(H, y, constellation):
+    """|y_n - (H s)_n|^2 for every lattice point s; (L, N, B), lattice first."""
+    B, n_rx, m = H.shape
+    check_lattice_capacity(m, constellation)
     lat = lattice_indices(m, constellation.size)
-    syms = constellation.points[lat]
-    resid = y[:, None, :] - np.einsum("bnm,lm->bln", H, syms)
-    return np.sum(np.abs(resid) ** 2, axis=2), lat
+    resid = (constellation.points[lat] @ H.transpose(2, 1, 0).reshape(m, -1)).reshape(-1, n_rx, B)
+    np.subtract(y.T[None], resid, out=resid)
+    sq = np.abs(resid)
+    return np.square(sq, out=sq), lat
 
 
 def ml_hard_batch(H, y, sigma2, constellation):
     """Joint ML decisions; argmin keeps the lexicographically smallest tie."""
-    metric, lat = _lattice_metrics(H, y, constellation)
-    return lat[np.argmin(metric, axis=1)]
+    sq, lat = _lattice_sq_residuals(H, y, constellation)
+    return lat[np.argmin(sq.sum(axis=1), axis=0)]
 
 
 def map_marginals_batch(H, y, sigma2, constellation):
     """Exact per-symbol posteriors for a batch; (B, M, Q)."""
-    metric, lat = _lattice_metrics(H, y, constellation)
+    sq, lat = _lattice_sq_residuals(H, y, constellation)
     m, size = H.shape[2], constellation.size
-    logp = -metric / sigma2 + np.sum(np.log(constellation.prior)[lat], axis=1)[None, :]
-    table = logp.reshape((-1,) + (size,) * m)
-    out = np.empty((H.shape[0], m, size))
-    for j in range(m):
-        axes = tuple(1 + k for k in range(m) if k != j)
-        out[:, j, :] = _lse(table, axis=axes)
-    p = np.exp(_norm_log(out))
-    return p / p.sum(axis=2, keepdims=True)
+    logp = -sq.sum(axis=1) / sigma2 + np.sum(np.log(constellation.prior)[lat], axis=1)[:, None]
+    p = np.exp(_norm_log(_lattice_marginals(logp, size, m), axis=1))  # [j, s, b]
+    p /= p.sum(axis=1, keepdims=True)
+    return np.ascontiguousarray(p.transpose(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +304,24 @@ def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
 def bp1_batch(H, y, sigma2, constellation: Constellation, iterations: int,
               singly_connected: bool = False) -> np.ndarray:
     """Beliefs of the observation factor-graph scheme; (B, M, Q)."""
-    B, n_rx, m = H.shape
+    B, _, m = H.shape
     size = constellation.size
-    lat = lattice_indices(m, size)
-    if m * constellation.bits_per_symbol > MAX_LATTICE_BITS:
-        raise CapacityError("lattice enumeration exceeds the 2^24 cap")
-    syms = constellation.points[lat]  # (L, M)
-    proj = np.einsum("bnm,lm->bnl", H, syms)
+    sq = _lattice_sq_residuals(H, y, constellation)[0]  # (L, F, B)
     if singly_connected:
-        ll = -np.sum(np.abs(y[:, :, None] - proj) ** 2, axis=1, keepdims=True) / sigma2
-    else:
-        ll = -np.abs(y[:, :, None] - proj) ** 2 / sigma2  # (B, F, L)
-    n_fac = ll.shape[1]
-    log_prior = np.log(constellation.prior)
-    lam = np.tile(log_prior, (B, n_fac, m, 1))
-    pi = np.zeros((B, n_fac, m, size))
+        sq = sq.sum(axis=1, keepdims=True)
+    n_fac = sq.shape[1]
+    sq /= -sigma2
+    ll = sq.reshape((size,) * m + (n_fac, B))
+    log_prior = np.log(constellation.prior)[:, None]
+    lam = np.broadcast_to(log_prior[:, :, None], (m, size, n_fac, B))  # [j, s, f, b]
     for _ in range(iterations):
-        gathered = np.stack([lam[:, :, j, :][:, :, lat[:, j]] for j in range(m)], axis=2)
-        w = ll + gathered.sum(axis=2)  # (B, F, L)
-        for j in range(m):
-            wt = (w - gathered[:, :, j]).reshape((B, n_fac) + (size,) * m)
-            axes = tuple(2 + k for k in range(m) if k != j)
-            pi[:, :, j, :] = _norm_log(_lse(wt, axis=axes))
-        log_b = _norm_log(log_prior[None, None, :] + pi.sum(axis=1))
-        lam = _norm_log(log_b[:, None, :, :] - pi)
-    return np.exp(log_b)
+        # w = ll + sum_k lam[k] on lattice axis k, shared by all M messages
+        w = ll.copy()
+        for k in range(m):
+            w += lam[k].reshape(tuple(size if a == k else 1 for a in range(m)) + (n_fac, B))
+        # lam[j] is constant along the axes summed out for digit j, so it
+        # is pulled out of the log-sum-exp and removed afterwards
+        pi = _norm_log(_lattice_marginals(w.reshape((-1, n_fac, B)), size, m) - lam, axis=1)
+        log_b = _norm_log(log_prior + pi.sum(axis=2), axis=1)  # [j, s, b]
+        lam = _norm_log(log_b[:, :, None] - pi, axis=1)
+    return np.ascontiguousarray(np.exp(log_b).transpose(2, 0, 1))

@@ -37,7 +37,7 @@ def _common_flags(p):
     p.add_argument("--target-errors", type=int, dest="target_errors",
                    help="keep running past --trials until this many bit errors")
     p.add_argument("--max-trials", type=int, dest="max_trials",
-                   help="hard trial cap in target-error mode")
+                   help="hard trial cap in target-error mode, at least --trials")
     p.add_argument("--iterations", type=int, help="iteration count for the iterative detectors")
     p.add_argument("--permutation", type=_int_list, help="ring order, 0-based, e.g. 0,2,1,3")
     p.add_argument("--out", help="output path (stdout when omitted)")

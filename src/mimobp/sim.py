@@ -20,7 +20,7 @@ import numpy as np
 from . import batch
 from .channel import ChannelInstance, get_constellation, trial_rng
 from .discrete_bp import BpConfig, bp1_factor_graph, bp2_fully_connected, bp3_ring, hard_decide, soft_output
-from .errors import CapacityError, ConfigError
+from .errors import ConfigError
 from .exact import lmmse, map_marginals, ml_hard
 from .gaussian_bp import GbpConfig, affine_ops, convergence_metric, fixed_point, gbp2g, gbp3g
 from .pairwise import Topology, build_graph
@@ -78,6 +78,8 @@ class SimConfig:
                 raise ConfigError(f"unknown detector {d!r}; choose from {', '.join(DETECTORS)}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.max_trials is not None and self.max_trials < self.trials:
+            raise ConfigError(f"max_trials ({self.max_trials}) must be >= trials ({self.trials})")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
         for det, count in self.iterations.items():
@@ -91,7 +93,10 @@ class SimConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.permutation is not None and sorted(self.permutation) != list(range(self.m)):
             raise ConfigError("permutation must be a bijection on 0..M-1")
-        get_constellation(self.constellation)
+        try:
+            get_constellation(self.constellation)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return self
 
     def iteration_count(self, detector):
@@ -253,12 +258,9 @@ def _detect_batch(detector, H, y, sigma2, constellation, cfg: SimConfig, cache):
 
 
 def _check_capacity(cfg, constellation):
-    if any(d in LATTICE_DETECTORS for d in cfg.detectors):
-        if cfg.m * constellation.bits_per_symbol > 24:
-            raise CapacityError(
-                f"detectors {LATTICE_DETECTORS} need m*M <= 24 bits, "
-                f"got {cfg.m * constellation.bits_per_symbol}"
-            )
+    lattice = [d for d in cfg.detectors if d in LATTICE_DETECTORS]
+    if lattice:
+        batch.check_lattice_capacity(cfg.m, constellation, what="detectors " + ",".join(lattice))
 
 
 def _ci95(errors, n_bits):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mimobp import (BpConfig, ChannelInstance, GbpConfig, Topology,
+from mimobp import (BpConfig, CapacityError, ChannelInstance, GbpConfig, Topology,
                     bidiagonalize, bp1_factor_graph, bp2_fully_connected,
                     bp3_ring, build_graph, forward_backward_detect, gbp2g,
-                    gbp3g, lmmse, map_marginals, ml_hard, qpsk)
+                    gbp3g, get_constellation, lmmse, map_marginals, ml_hard, qpsk)
 from mimobp import batch
 from mimobp.sim import SimConfig, generate_batch
 
@@ -121,3 +123,55 @@ def test_ml_batch_lexicographic_tie_break():
     y = np.zeros((2, 2), dtype=complex)
     hard = batch.ml_hard_batch(H, y, 1.0, c)
     assert np.array_equal(hard, np.zeros((2, 2), dtype=int))
+
+
+@st.composite
+def lattice_cases(draw):
+    """Odd M and uneven lattice splits included; QAM16 only where M <= 2."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, 6))
+    name = draw(st.sampled_from(("QPSK", "QAM16") if m <= 2 else ("QPSK",)))
+    snr = draw(st.floats(-10.0, 40.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    iters = draw(st.integers(1, 4))
+    return m, n, name, snr, seed, iters
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_cases())
+def test_lattice_batches_match_reference_across_snr(case):
+    m, n, name, snr, seed, iters = case
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-snr / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=seed)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 3)
+    post = batch.map_marginals_batch(H, y, sigma2, c)
+    hard = batch.ml_hard_batch(H, y, sigma2, c)
+    bp1 = {singly: batch.bp1_batch(H, y, sigma2, c, iters, singly_connected=singly)
+           for singly in (False, True)}
+    assert np.all(np.isfinite(post))
+    for b in range(3):
+        ch = ChannelInstance(H=H[b], sigma2=sigma2)
+        assert np.max(np.abs(post[b] - map_marginals(ch, c, y[b]))) < 1e-10
+        assert np.array_equal(hard[b], ml_hard(ch, c, y[b]))
+        for singly, beliefs in bp1.items():
+            assert np.all(np.isfinite(beliefs[b]))
+            ref = bp1_factor_graph(ch, c, y[b], BpConfig(iterations=iters),
+                                   singly_connected=singly)
+            assert np.max(np.abs(beliefs[b] - ref.beliefs)) < 1e-10
+
+
+def test_lattice_capacity_checked_before_enumeration(monkeypatch):
+    def enumerate_lattice(*args):
+        raise AssertionError("lattice enumerated before the capacity check")
+
+    monkeypatch.setattr(batch, "lattice_indices", enumerate_lattice)
+    c = qpsk()
+    H = np.zeros((1, 13, 13), dtype=complex)
+    y = np.zeros((1, 13), dtype=complex)
+    kernels = (batch.ml_hard_batch, batch.map_marginals_batch,
+               lambda *a: batch.bp1_batch(*a, 4),
+               lambda *a: batch.bp1_batch(*a, 4, singly_connected=True))
+    for kernel in kernels:
+        with pytest.raises(CapacityError, match="2\\^26"):
+            kernel(H, y, 1.0, c)

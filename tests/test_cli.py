@@ -33,6 +33,20 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "config error" in res.stderr
 
+    def test_unknown_constellation_exits_two(self):
+        res = run_cli("simulate", "--constellation", "8PSK", "--trials", "1")
+        assert res.returncode == 2
+        assert "config error" in res.stderr and "8PSK" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_max_trials_below_trials_exits_two(self, tmp_path):
+        out = tmp_path / "o.csv"
+        res = run_cli("simulate", "--trials", "10", "--max-trials", "3",
+                      "--detectors", "LMMSE", "--out", str(out))
+        assert res.returncode == 2
+        assert "max_trials" in res.stderr
+        assert not out.exists()
+
     def test_missing_config_file(self):
         res = run_cli("simulate", "--config", "/nonexistent/path.cfg")
         assert res.returncode == 2

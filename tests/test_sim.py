@@ -57,6 +57,13 @@ class TestConfigParsing:
             SimConfig(snr_db=()).validate()
         with pytest.raises(ConfigError, match="bijection"):
             SimConfig(permutation=(0, 0, 1, 2)).validate()
+        with pytest.raises(ConfigError, match="constellation"):
+            SimConfig(constellation="8PSK").validate()
+
+    def test_max_trials_below_trials_rejected(self):
+        with pytest.raises(ConfigError, match="max_trials"):
+            SimConfig(trials=10, max_trials=3).validate()
+        assert SimConfig(trials=10, max_trials=10).validate().max_trials == 10
 
     def test_scalar_iterations_expands(self):
         cfg = load_config(None, {"iterations": 6, "detectors": ("BP2", "BP3")})
