@@ -16,13 +16,12 @@ from .channel import (ChannelInstance, Constellation, TransmitRecord,
 from .discrete_bp import (BeliefState, BpConfig, bp1_factor_graph,
                           bp2_fully_connected, bp3_ring, hard_decide, soft_output)
 from .errors import (CapacityError, ConfigError, ContractionError,
-                     DegenerateUpdateError, MimobpError, NumericalError, SingularMatrixError)
+                     MimobpError, NumericalError, SingularMatrixError)
 from .exact import LmmseResult, llr_from_marginals, lmmse, map_marginals, ml_hard
 from .gaussian_bp import (AffineOp, ConvergenceTrace, GbpConfig, GbpTrace,
                           RingAffineOps, RingFixedPoint, affine_ops,
                           convergence_metric, fixed_point, gbp2g, gbp3g)
-from .linalg import (ComplexGaussian1D, cn_logpdf, cn_pdf, hermitian_solve,
-                     partial_covariance, sherman_morrison_downdate)
+from .linalg import ComplexGaussian1D, cn_logpdf, cn_pdf, hermitian_solve, partial_covariance
 from .pairwise import (PairwiseGraph, PairwiseLink, Topology, build_graph,
                        build_link, translate_kernel, translate_log_table)
 from .polydiag import BiDiagonalized, bidiagonalize, effective_observation, forward_backward_detect

@@ -28,21 +28,14 @@ from .pairwise import PairwiseGraph, Topology, translate_log_table
 
 @dataclass(frozen=True)
 class BpConfig:
-    """Knobs shared by the iterative detectors.
-
-    damping blends each new message with the previous one in the probability
-    domain (0 disables it, matching the reference schedules).
-    """
+    """Knobs shared by the iterative detectors."""
 
     iterations: int = 4
-    damping: float = 0.0
     log_domain: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
 
 
 @dataclass
@@ -114,16 +107,6 @@ class _Domain:
 
     def to_prob(self, msg):
         return np.exp(_norm_log(msg)) if self.log else _norm_lin(msg)
-
-    def damp(self, new, old, damping):
-        if damping == 0.0:
-            return new
-        new_p, old_p = self.to_prob(new), self.to_prob(old)
-        mixed = (1.0 - damping) * new_p + damping * old_p
-        if not self.log:
-            return mixed
-        with np.errstate(divide="ignore"):  # sharp messages may carry true zeros
-            return np.log(mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +226,6 @@ def bp2_fully_connected(graph: PairwiseGraph, constellation: Constellation,
         else:
             lam = dom.normalize(col[:, None, :] / np.swapaxes(pi, 0, 1))
         cand = dom.normalize(dom.translate(np.swapaxes(table, 0, 1), lam))
-        cand = dom.damp(cand, pi, config.damping)
         pi = np.where(off_diag[:, :, None], cand, pi)
         incoming = np.where(off_diag[:, :, None], pi, neutral)
         summed = incoming.sum(axis=0) if config.log_domain else incoming.prod(axis=0)
@@ -288,17 +270,13 @@ def _ring_pass(graph: PairwiseGraph, constellation: Constellation,
     beliefs = np.tile(constellation.prior, (m, 1))
     deltas = []
 
-    def step(table, incoming, previous):
-        new = dom.normalize(dom.translate(table, incoming))
-        return dom.damp(new, previous, config.damping)
-
     for _ in range(config.iterations):
         for r in range(m):
             prev = (r - 1) % m
-            fwd[r] = step(lt_f[prev], fwd[prev], fwd[r])
+            fwd[r] = dom.normalize(dom.translate(lt_f[prev], fwd[prev]))
         for r in reversed(range(m)):
             nxt = (r + 1) % m
-            bwd[r] = step(lt_b[nxt], bwd[nxt], bwd[r])
+            bwd[r] = dom.normalize(dom.translate(lt_b[nxt], bwd[nxt]))
         new_beliefs = np.empty((m, size))
         for r in range(m):
             new_beliefs[order[r]] = dom.to_prob(dom.combine(fwd[r], bwd[r]))

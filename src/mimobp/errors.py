@@ -21,9 +21,5 @@ class SingularMatrixError(NumericalError):
     """Linear system too ill-conditioned to solve reliably."""
 
 
-class DegenerateUpdateError(NumericalError):
-    """Rank-one update denominator vanished."""
-
-
 class ContractionError(NumericalError):
     """Ring contraction factor not strictly inside the unit disc."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DegenerateUpdateError, SingularMatrixError
+from .errors import SingularMatrixError
 
 # Reciprocal condition number below which a Hermitian solve is refused.
 RCOND_MIN = 1e-13
@@ -96,19 +96,3 @@ def hermitian_solve(A, b):
         )
     c, low = cho_factor(A, lower=True, check_finite=False)
     return cho_solve((c, low), np.asarray(b), check_finite=False)
-
-
-def sherman_morrison_downdate(h_Ainv, b_Ainv, b):
-    """Row h^H (A + b b^H)^{-1} from the rows h^H A^{-1} and b^H A^{-1}.
-
-    Implements the rank-one matrix inversion identity
-    h^H (A + b b^H)^{-1} = h^H A^{-1} - (h^H A^{-1} b) b^H A^{-1} / (1 + b^H A^{-1} b)
-    without touching A itself.
-    """
-    h_Ainv = np.asarray(h_Ainv)
-    b_Ainv = np.asarray(b_Ainv)
-    b = np.asarray(b)
-    denom = 1.0 + b_Ainv @ b
-    if abs(denom) < 1e-14:
-        raise DegenerateUpdateError("1 + b^H A^-1 b vanished in rank-one update")
-    return h_Ainv - (h_Ainv @ b) / denom * b_Ainv

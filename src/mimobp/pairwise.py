@@ -49,13 +49,28 @@ class PairwiseLink:
     v_var: float
 
 
+def ring_order(m: int, permutation=None) -> tuple:
+    """Ring order as a tuple of node ids: natural order by default, else
+    ``permutation``, which must be a bijection on 0..m-1."""
+    if permutation is None:
+        return tuple(range(m))
+    order = tuple(int(p) for p in permutation)
+    if sorted(order) != list(range(m)):
+        raise ValueError(f"permutation must be a bijection on 0..{m - 1}")
+    return order
+
+
+def conditional_filter(H, sigma2, j: int, i: int) -> np.ndarray:
+    """Conditional MMSE filter c = K_{ji}^{-1} h_j for target j given known i."""
+    return hermitian_solve(partial_covariance(H, sigma2, (j, i)), H[:, j])
+
+
 def build_link(channel: ChannelInstance, y, j: int, i: int) -> PairwiseLink:
     """Build the conditional-filter link for target j given known i."""
     if i == j:
         raise ValueError("ordered pair needs distinct indices")
     H = channel.H
-    K = partial_covariance(H, channel.sigma2, (j, i))
-    c = hermitian_solve(K, H[:, j])
+    c = conditional_filter(H, channel.sigma2, j, i)
     a_jj = float(np.vdot(c, H[:, j]).real)
     a_ji = complex(np.vdot(c, H[:, i]))
     y_prime = complex(np.vdot(c, np.asarray(y)))
@@ -122,12 +137,7 @@ def build_graph(channel: ChannelInstance, y, topology: Topology, permutation=Non
     default); it must be a bijection on 0..M-1.
     """
     m = channel.n_tx
-    if permutation is None:
-        order = tuple(range(m))
-    else:
-        order = tuple(int(p) for p in permutation)
-        if sorted(order) != list(range(m)):
-            raise ValueError(f"permutation must be a bijection on 0..{m - 1}")
+    order = ring_order(m, permutation)
     links = {}
     if topology is Topology.FULLY_CONNECTED:
         pairs = [(j, i) for j in range(m) for i in range(m) if i != j]

@@ -3,8 +3,10 @@
 A bank of multi-modal MMSE filters turns the M-stream channel into an
 effective two-tap tail-biting chain: filter r passes its target stream and
 the previous stream around the ring, and suppresses everything else into a
-Gaussian remainder. Unlike the ring BP detector, both recursion directions
-here share the same effective observations.
+Gaussian remainder. These shortening taps are the pairwise conditional-MMSE
+links of the ring pairs (order[r] | order[r-1]), built by
+``pairwise.conditional_filter``. Unlike the ring BP detector, both
+recursion directions here share the same effective observations.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelInstance, Constellation
 from .discrete_bp import BeliefState, BpConfig, _delta, _Domain
-from .linalg import hermitian_solve, partial_covariance
+from .pairwise import conditional_filter, ring_order
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,7 @@ def bidiagonalize(channel: ChannelInstance, permutation=None) -> BiDiagonalized:
     m = channel.n_tx
     if m < 2:
         raise ValueError("bi-diagonalization needs at least two streams")
-    if permutation is None:
-        order = tuple(range(m))
-    else:
-        order = tuple(int(p) for p in permutation)
-        if sorted(order) != list(range(m)):
-            raise ValueError(f"permutation must be a bijection on 0..{m - 1}")
+    order = ring_order(m, permutation)
     H = channel.H
     C = np.empty((channel.n_rx, m), dtype=complex)
     a_diag = np.empty(m)
@@ -59,8 +56,7 @@ def bidiagonalize(channel: ChannelInstance, permutation=None) -> BiDiagonalized:
     leakage = np.empty(m)
     for r in range(m):
         target, prev = order[r], order[(r - 1) % m]
-        K = partial_covariance(H, channel.sigma2, (target, prev))
-        c = hermitian_solve(K, H[:, target])
+        c = conditional_filter(H, channel.sigma2, target, prev)
         C[:, r] = c
         a_diag[r] = np.vdot(c, H[:, target]).real
         a_sub[r] = np.vdot(c, H[:, prev])

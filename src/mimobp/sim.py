@@ -23,7 +23,7 @@ from .discrete_bp import BpConfig, bp1_factor_graph, bp2_fully_connected, bp3_ri
 from .errors import ConfigError
 from .exact import lmmse, map_marginals, ml_hard
 from .gaussian_bp import GbpConfig, affine_ops, convergence_metric, fixed_point, gbp2g, gbp3g
-from .pairwise import Topology, build_graph
+from .pairwise import Topology, build_graph, ring_order
 from .polydiag import bidiagonalize, forward_backward_detect
 
 DETECTORS = ("MAP", "ML", "LMMSE", "BP1", "BP2", "BP3", "FB", "GBP2G", "GBP3G")
@@ -91,9 +91,10 @@ class SimConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.permutation is not None and sorted(self.permutation) != list(range(self.m)):
-            raise ConfigError("permutation must be a bijection on 0..M-1")
+        if "FB" in self.detectors and self.m < 2:
+            raise ConfigError("FB needs M >= 2: each shortening filter pairs two streams")
         try:
+            ring_order(self.m, self.permutation)
             get_constellation(self.constellation)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

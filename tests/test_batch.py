@@ -117,6 +117,28 @@ def test_gbp_batches_match_reference(stacked):
         assert np.max(np.abs(m3[b] - gbp3g(ring, cfg).means[-1])) < 1e-12
 
 
+def test_zero_iterations_return_the_prior(stacked):
+    c, H, _, y = stacked
+    t = batch.link_tables(H, y, SIGMA2)
+    kernels = {"BP1": batch.bp1_batch(H, y, SIGMA2, c, 0), "BP2": batch.bp2_batch(t, c, 0),
+               "BP3": batch.bp3_batch(t, c, 0), "FB": batch.fb_batch(H, y, SIGMA2, c, 0)}
+    for name, beliefs in kernels.items():
+        assert np.max(np.abs(beliefs - c.prior)) < 1e-15, name
+
+
+def test_single_stream_pairwise_kernels():
+    c = qpsk()
+    cfg = SimConfig(m=1, n=2, snr_db=(10.0,))
+    H, _, y = generate_batch(cfg, c, SIGMA2, 0, 0, 3)
+    with pytest.raises(ValueError, match="two streams"):
+        batch.fb_batch(H, y, SIGMA2, c, 4)
+    with np.errstate(all="raise"):
+        means = batch.gbp2g_batch(batch.link_tables(H, y, SIGMA2), 10)
+    for b, ch, yb in instances(H, y, count=3):
+        full = build_graph(ch, yb, Topology.FULLY_CONNECTED)
+        assert np.array_equal(means[b], gbp2g(full, GbpConfig(max_sweeps=10, tol=0.0)).means[-1])
+
+
 def test_ml_batch_lexicographic_tie_break():
     c = qpsk()
     H = np.zeros((2, 2, 2), dtype=complex)
@@ -159,6 +181,42 @@ def test_lattice_batches_match_reference_across_snr(case):
             ref = bp1_factor_graph(ch, c, y[b], BpConfig(iterations=iters),
                                    singly_connected=singly)
             assert np.max(np.abs(beliefs[b] - ref.beliefs)) < 1e-10
+
+
+@st.composite
+def pairwise_cases(draw):
+    """Random ring permutations; QAM16 only where M <= 3."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(m, 6))
+    name = draw(st.sampled_from(("QPSK", "QAM16") if m <= 3 else ("QPSK",)))
+    snr = draw(st.floats(-10.0, 40.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    iters = draw(st.integers(1, 4))
+    perm = tuple(draw(st.permutations(range(m))))
+    return m, n, name, snr, seed, iters, perm
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairwise_cases())
+def test_pairwise_batches_match_reference_across_snr(case):
+    m, n, name, snr, seed, iters, perm = case
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-snr / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=seed)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 3)
+    t = batch.link_tables(H, y, sigma2)
+    kernels = {"BP2": batch.bp2_batch(t, c, iters),
+               "BP3": batch.bp3_batch(t, c, iters, order=perm),
+               "FB": batch.fb_batch(H, y, sigma2, c, iters, order=perm)}
+    bp = BpConfig(iterations=iters)
+    for b in range(3):
+        ch = ChannelInstance(H=H[b], sigma2=sigma2)
+        refs = {"BP2": bp2_fully_connected(build_graph(ch, y[b], Topology.FULLY_CONNECTED), c, bp),
+                "BP3": bp3_ring(build_graph(ch, y[b], Topology.RING, perm), c, bp),
+                "FB": forward_backward_detect(bidiagonalize(ch, perm), c, y[b], bp)}
+        for kernel, beliefs in kernels.items():
+            assert np.all(np.isfinite(beliefs[b])), kernel
+            assert np.max(np.abs(beliefs[b] - refs[kernel].beliefs)) < 1e-12, kernel
 
 
 def test_lattice_capacity_checked_before_enumeration(monkeypatch):

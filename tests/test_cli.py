@@ -39,6 +39,12 @@ class TestExitCodes:
         assert "config error" in res.stderr and "8PSK" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_fb_on_one_stream_exits_two(self):
+        res = run_cli("simulate", "--m", "1", "--n", "1", "--detectors", "FB",
+                      "--trials", "50", "--snr-db", "10")
+        assert res.returncode == 2
+        assert "FB needs M >= 2" in res.stderr and res.stdout == ""
+
     def test_max_trials_below_trials_exits_two(self, tmp_path):
         out = tmp_path / "o.csv"
         res = run_cli("simulate", "--trials", "10", "--max-trials", "3",

@@ -94,11 +94,6 @@ class TestBp2:
         b = bp2_fully_connected(full, qpsk_const, BpConfig(iterations=3, log_domain=False))
         assert np.max(np.abs(a.beliefs - b.beliefs)) < 1e-9
 
-    def test_damping_stays_valid(self, qpsk_const):
-        _, _, full, _ = graphs(14)
-        state = bp2_fully_connected(full, qpsk_const, BpConfig(iterations=6, damping=0.3))
-        assert np.allclose(state.beliefs.sum(axis=1), 1.0, atol=1e-12)
-
     def test_rejects_non_uniform_prior(self):
         base = qpsk()
         # unit-modulus points keep average energy 1 under any prior

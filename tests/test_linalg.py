@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from mimobp import (ComplexGaussian1D, SingularMatrixError, cn_logpdf, cn_pdf,
-                    draw_channel, hermitian_solve, partial_covariance,
-                    sherman_morrison_downdate)
-from mimobp.errors import DegenerateUpdateError
+                    draw_channel, hermitian_solve, partial_covariance)
 
 
 def quad_grid(center, sigma, points=200, span=6.0):
@@ -93,36 +91,6 @@ class TestHermitianSolve:
         A = np.diag([1.0, 1e-16])
         with pytest.raises(SingularMatrixError):
             hermitian_solve(A, np.ones(2))
-
-
-class TestShermanMorrison:
-    def test_zero_update(self, rng):
-        h_Ainv = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        out = sherman_morrison_downdate(h_Ainv, np.zeros(4, complex), np.zeros(4, complex))
-        assert np.allclose(out, h_Ainv)
-
-    def test_diagonal_rank_one(self):
-        e1 = np.zeros(3, complex)
-        e1[0] = 1.0
-        out = sherman_morrison_downdate(e1, e1, e1)
-        assert np.allclose(out, e1 / 2)
-
-    def test_matches_dense_inverse(self, rng):
-        H = draw_channel(4, 4, 21)
-        A = partial_covariance(H, 0.5, ())
-        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        Ainv = np.linalg.inv(A)
-        out = sherman_morrison_downdate(h.conj() @ Ainv, b.conj() @ Ainv, b)
-        ref = h.conj() @ np.linalg.inv(A + np.outer(b, b.conj()))
-        assert np.max(np.abs(out - ref)) < 1e-10
-
-    def test_degenerate_denominator(self):
-        # requires an indefinite A: 1 + b^H A^-1 b = 0 for A = diag(1, -1), b = e2
-        b = np.array([0.0, 1.0], dtype=complex)
-        b_Ainv = b.conj() @ np.diag([1.0, -1.0])
-        with pytest.raises(DegenerateUpdateError):
-            sherman_morrison_downdate(np.ones(2, complex), b_Ainv, b)
 
 
 class TestGaussianIdentities:

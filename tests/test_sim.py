@@ -59,6 +59,8 @@ class TestConfigParsing:
             SimConfig(permutation=(0, 0, 1, 2)).validate()
         with pytest.raises(ConfigError, match="constellation"):
             SimConfig(constellation="8PSK").validate()
+        with pytest.raises(ConfigError, match="FB needs M >= 2"):
+            SimConfig(m=1, n=1, detectors=("FB",)).validate()
 
     def test_max_trials_below_trials_rejected(self):
         with pytest.raises(ConfigError, match="max_trials"):
