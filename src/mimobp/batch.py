@@ -6,7 +6,8 @@ modules) to numerical precision; the test suite cross-checks each pair.
 Shapes: H is (B, N, M), y is (B, N), messages carry a trailing
 constellation axis of length Q. Inside, the lattice kernels (ML, MAP, BP1)
 put the L = Q^M lattice points first and the trials last, e.g. (L, N, B),
-so that their reductions run over long contiguous rows.
+and GBP2G keeps its messages as (M, M, B), so that their reductions run
+over long contiguous rows.
 """
 
 from __future__ import annotations
@@ -198,6 +199,9 @@ def bp3_batch(links: LinkTables, constellation: Constellation, iterations: int,
     B, m, _ = links.a_diag.shape
     size = constellation.size
     order = ring_order(m, order)
+    if m == 1:
+        # no ring: the diagonal of LinkTables is no link, so the belief is the prior
+        return np.tile(constellation.prior, (B, 1, 1))
     log_t = _translate_log_tables(links, constellation.points)
     lt_f = [log_t[:, order[(r + 1) % m], order[r]] for r in range(m)]
     lt_b = [log_t[:, order[(r - 1) % m], order[r]] for r in range(m)]
@@ -252,57 +256,87 @@ def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
 
 
 # ---------------------------------------------------------------------------
-# Gaussian schemes (fixed sweep counts keep outputs independent of batching)
+# Gaussian schemes (fixed sweep counts keep outputs independent of batching).
+# Every hop of the ring recursion is the affine map mu -> u + v * mu of
+# gaussian_bp.RingAffineOps, so the ring kernel composes T hops by recursive
+# doubling in O(log T) steps instead of sweeping T times. The fully-connected
+# recursion mixes messages nonlinearly and still sweeps.
 
 
 def gbp3g_batch(links: LinkTables, sweeps: int, order=None) -> np.ndarray:
-    """Belief means of the ring Gaussian recursion after ``sweeps`` hops."""
+    """Belief means of the ring Gaussian recursion after ``sweeps`` hops.
+
+    The four chains (forward mean, backward mean, forward variance, backward
+    variance) are stacked as (4, M, B) over ring positions; the backward
+    chains run over the reversed ring, so every chain reads position r - 1.
+    The h-hop map into position r is mu -> offset[r] + slope[r] * mu, with
+    mu the message into position r - h. Applied after a k-hop map, it gives
+    the (h + k)-hop map with offset offset[r] + slope[r] * offset'[r - h]
+    and slope slope[r] * slope'[r - h]. The messages start at mean 0 and
+    variance 1, so after ``sweeps`` hops the means are the offsets and the
+    variances are offset + slope.
+    """
     B, m, _ = links.a_diag.shape
     tgt = np.array(ring_order(m, order))
-    prev, nxt = np.roll(tgt, 1), np.roll(tgt, -1)
-    fields = (links.u, links.v, links.u_var, links.v_var)
-    # advanced indexing returns column-major (B, M) arrays, on which the
-    # sweeps below ran about 40% slower than on C-ordered copies (4x6, B=512)
-    u_f, v_f, uv_f, vv_f = (np.ascontiguousarray(a[:, tgt, prev]) for a in fields)
-    u_b, v_b, uv_b, vv_b = (np.ascontiguousarray(a[:, tgt, nxt]) for a in fields)
-
-    mu_f = np.zeros((B, m), dtype=complex)
-    var_f = np.ones((B, m))
-    mu_b = np.zeros((B, m), dtype=complex)
-    var_b = np.ones((B, m))
-    for _ in range(sweeps):
-        mu_f = u_f + v_f * np.roll(mu_f, 1, axis=1)
-        var_f = uv_f + vv_f * np.roll(var_f, 1, axis=1)
-        mu_b = u_b + v_b * np.roll(mu_b, -1, axis=1)
-        var_b = uv_b + vv_b * np.roll(var_b, -1, axis=1)
+    rows = np.stack([tgt, tgt[::-1]])
+    cols = np.roll(rows, 1, axis=1)  # the node each hop into rows[., r] comes from
+    off = np.concatenate([links.u[:, rows, cols], links.u_var[:, rows, cols]], axis=1)
+    slope = np.concatenate([links.v[:, rows, cols], links.v_var[:, rows, cols]], axis=1)
+    off, slope = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (off, slope))
+    # acc_* hold the map of the first `hops` hops, off/slope the `step`-hop map
+    acc_off = np.zeros_like(off)
+    acc_slope = np.ones_like(slope)
+    hops, step = 0, 1
+    while sweeps:
+        if sweeps & 1:
+            acc_off = acc_off + acc_slope * np.roll(off, hops, axis=1)
+            acc_slope = acc_slope * np.roll(slope, hops, axis=1)
+            hops += step
+        sweeps >>= 1
+        if sweeps:
+            off = off + slope * np.roll(off, step, axis=1)
+            slope = slope * np.roll(slope, step, axis=1)
+            step *= 2
+    mu_f, mu_b = acc_off[0], acc_off[1, ::-1]
+    var = (acc_off[2:] + acc_slope[2:]).real
+    var_f, var_b = var[0], var[1, ::-1]
     bel = (mu_f / var_f + mu_b / var_b) / (1.0 / var_f + 1.0 / var_b)
     out = np.empty((B, m), dtype=complex)
-    out[:, tgt] = bel
+    out[:, tgt] = bel.T
     return out
 
 
 def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
-    """Belief means of the fully-connected Gaussian scheme after ``sweeps``."""
+    """Belief means of the fully-connected Gaussian scheme after ``sweeps``.
+
+    Messages are (M, M, B), [i, j, b] for the i -> j edge, so the sums over
+    source nodes are row adds. A self-edge keeps variance inf and zero
+    coefficients: it contributes zero precision and zero weighted mean,
+    which takes the place of an off-diagonal mask. A complex array divided
+    by a real one is taken as both parts times the reciprocal, which is what
+    numpy's complex division computes for a zero imaginary part.
+    """
     B, m, _ = links.a_diag.shape
     if m <= 2:
         # one node has no neighbours and two form a ring; both divide 0/0 below
         return gbp3g_batch(links, sweeps)
-    off = ~np.eye(m, dtype=bool)
-    u = np.swapaxes(links.u, 1, 2)  # [b, i, j] = coefficients of the i -> j edge
-    v = np.swapaxes(links.v, 1, 2)
-    uv = np.swapaxes(links.u_var, 1, 2)
-    vv = np.swapaxes(links.v_var, 1, 2)
-    mu = np.zeros((B, m, m), dtype=complex)
-    var = np.ones((B, m, m))
+    u, v, uv, vv = (np.ascontiguousarray(a.transpose(2, 1, 0))
+                    for a in (links.u, links.v, links.u_var, links.v_var))
+    self_edge = (np.arange(m), np.arange(m))
+    uv[self_edge] = np.inf
+    mu = np.zeros((m, m, B), dtype=complex)
+    var = np.ones((m, m, B))
+    var[self_edge] = np.inf
     for _ in range(sweeps):
-        prec = np.where(off[None], 1.0 / var, 0.0)
-        wmean = np.where(off[None], mu / var, 0.0)
-        lam_prec = prec.sum(axis=1)[:, :, None] - np.swapaxes(prec, 1, 2)
-        lam_mean = (wmean.sum(axis=1)[:, :, None] - np.swapaxes(wmean, 1, 2)) / lam_prec
-        var = np.where(off[None], uv + vv / lam_prec, var)
-        mu = np.where(off[None], u + v * lam_mean, mu)
-    prec = np.where(off[None], 1.0 / var, 0.0)
-    return np.where(off[None], mu / var, 0.0).sum(axis=1) / prec.sum(axis=1)
+        prec = 1.0 / var
+        wmean = mu * prec
+        # [i, j]: everything into i except from j
+        lam_prec = prec.sum(axis=0)[:, None] - prec.transpose(1, 0, 2)
+        lam_mean = (wmean.sum(axis=0)[:, None] - wmean.transpose(1, 0, 2)) * (1.0 / lam_prec)
+        var = uv + vv / lam_prec
+        mu = u + v * lam_mean
+    prec = 1.0 / var
+    return ((mu * prec).sum(axis=0) * (1.0 / prec.sum(axis=0))).T
 
 
 # ---------------------------------------------------------------------------

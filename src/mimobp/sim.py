@@ -76,8 +76,9 @@ class SimConfig:
         for d in self.detectors:
             if d not in DETECTORS:
                 raise ConfigError(f"unknown detector {d!r}; choose from {', '.join(DETECTORS)}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        for key in ("trials", "batch_size", "gbp_sweeps", "sweeps", "channels"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.max_trials is not None and self.max_trials < self.trials:
             raise ConfigError(f"max_trials ({self.max_trials}) must be >= trials ({self.trials})")
         if not 0 <= self.seed < 2 ** 64:
@@ -87,8 +88,6 @@ class SimConfig:
                 raise ConfigError(f"iteration count for unknown detector {det!r}")
             if count < 1:
                 raise ConfigError(f"iterations for {det} must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if "FB" in self.detectors and self.m < 2:

@@ -1,5 +1,7 @@
 """Every vectorised kernel must reproduce its single-instance reference."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from mimobp import (BpConfig, CapacityError, ChannelInstance, GbpConfig, Topolog
                     bp3_ring, build_graph, forward_backward_detect, gbp2g,
                     gbp3g, get_constellation, lmmse, map_marginals, ml_hard, qpsk)
 from mimobp import batch
+from mimobp.batch import LinkTables
+from mimobp.pairwise import PairwiseGraph, PairwiseLink
 from mimobp.sim import SimConfig, generate_batch
 
 SIGMA2 = 0.1
@@ -124,19 +128,26 @@ def test_zero_iterations_return_the_prior(stacked):
                "BP3": batch.bp3_batch(t, c, 0), "FB": batch.fb_batch(H, y, SIGMA2, c, 0)}
     for name, beliefs in kernels.items():
         assert np.max(np.abs(beliefs - c.prior)) < 1e-15, name
+    assert not np.any(batch.gbp2g_batch(t, 0)) and not np.any(batch.gbp3g_batch(t, 0))
 
 
 def test_single_stream_pairwise_kernels():
-    c = qpsk()
-    cfg = SimConfig(m=1, n=2, snr_db=(10.0,))
-    H, _, y = generate_batch(cfg, c, SIGMA2, 0, 0, 3)
+    c = get_constellation("QAM16")
+    sigma2 = 1.0
+    cfg = SimConfig(m=1, n=2, constellation="QAM16", snr_db=(0.0,))
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 3)
     with pytest.raises(ValueError, match="two streams"):
-        batch.fb_batch(H, y, SIGMA2, c, 4)
+        batch.fb_batch(H, y, sigma2, c, 4)
+    t = batch.link_tables(H, y, sigma2)
     with np.errstate(all="raise"):
-        means = batch.gbp2g_batch(batch.link_tables(H, y, SIGMA2), 10)
-    for b, ch, yb in instances(H, y, count=3):
-        full = build_graph(ch, yb, Topology.FULLY_CONNECTED)
+        means = batch.gbp2g_batch(t, 10)
+    beliefs = batch.bp3_batch(t, c, 4)
+    for b in range(3):
+        ch = ChannelInstance(H=H[b], sigma2=sigma2)
+        full = build_graph(ch, y[b], Topology.FULLY_CONNECTED)
         assert np.array_equal(means[b], gbp2g(full, GbpConfig(max_sweeps=10, tol=0.0)).means[-1])
+        ring = build_graph(ch, y[b], Topology.RING)
+        assert np.array_equal(beliefs[b], bp3_ring(ring, c, BpConfig(iterations=4)).beliefs)
 
 
 def test_ml_batch_lexicographic_tie_break():
@@ -217,6 +228,64 @@ def test_pairwise_batches_match_reference_across_snr(case):
         for kernel, beliefs in kernels.items():
             assert np.all(np.isfinite(beliefs[b])), kernel
             assert np.max(np.abs(beliefs[b] - refs[kernel].beliefs)) < 1e-12, kernel
+
+
+def _graph_from_tables(t, b, channel, topology, order):
+    """Oracle graph whose links are the batch's own table entries for trial b."""
+    m = channel.n_tx
+    links = {(j, i): PairwiseLink(j=j, i=i, c=None, y_prime=t.y_prime[b, j, i],
+                                  a_jj=t.a_diag[b, j, i], a_ji=t.a_cross[b, j, i],
+                                  sigma2_cond=t.a_diag[b, j, i], u=t.u[b, j, i], v=t.v[b, j, i],
+                                  u_var=t.u_var[b, j, i], v_var=t.v_var[b, j, i])
+             for j in range(m) for i in range(m) if i != j}
+    return PairwiseGraph(topology=topology, channel=channel, links=links, order=order)
+
+
+@st.composite
+def gaussian_cases(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(m, 6))
+    name = draw(st.sampled_from(("QPSK", "QAM16")))
+    snr = draw(st.floats(-10.0, 40.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    sweeps = draw(st.integers(1, 300))
+    perm = tuple(draw(st.permutations(range(m))))
+    return m, n, name, snr, seed, sweeps, perm
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_cases())
+def test_gaussian_batches_match_reference_across_snr(case):
+    """The oracle reads the batch's link tables, so only the kernels are compared."""
+    m, n, name, snr, seed, sweeps, perm = case
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-snr / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=seed)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 3)
+    t = batch.link_tables(H, y, sigma2)
+    m2 = batch.gbp2g_batch(t, sweeps)
+    m3 = batch.gbp3g_batch(t, sweeps, order=perm)
+    gcfg = GbpConfig(max_sweeps=sweeps, tol=0.0)
+    for b in range(3):
+        ch = ChannelInstance(H=H[b], sigma2=sigma2)
+        full = _graph_from_tables(t, b, ch, Topology.FULLY_CONNECTED, tuple(range(m)))
+        ring = _graph_from_tables(t, b, ch, Topology.RING, perm)
+        assert np.max(np.abs(m2[b] - gbp2g(full, gcfg).means[-1])) < 1e-12
+        assert np.max(np.abs(m3[b] - gbp3g(ring, gcfg).means[-1])) < 1e-12
+
+
+def test_gaussian_batches_independent_of_partitioning():
+    c = get_constellation("QAM16")
+    sigma2 = 10.0 ** (-25.0 / 10.0)
+    cfg = SimConfig(m=5, n=6, constellation="QAM16", snr_db=(25.0,), seed=3)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 2 * 37)
+    t = batch.link_tables(H, y, sigma2)
+    halves = [LinkTables(**{f.name: getattr(t, f.name)[part] for f in fields(LinkTables)})
+              for part in (slice(None, 37), slice(37, None))]
+    kernels = (lambda tables: batch.gbp2g_batch(tables, 200),
+               lambda tables: batch.gbp3g_batch(tables, 200, order=(3, 0, 4, 1, 2)))
+    for kernel in kernels:
+        assert np.array_equal(kernel(t), np.concatenate([kernel(h) for h in halves]))
 
 
 def test_lattice_capacity_checked_before_enumeration(monkeypatch):

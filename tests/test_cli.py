@@ -45,6 +45,17 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "FB needs M >= 2" in res.stderr and res.stdout == ""
 
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--detectors", "GBP2G,GBP3G", "--gbp-sweeps", "0"),
+        ("converge", "--sweeps", "0"),
+        ("converge", "--channels", "0"),
+    ])
+    def test_sweep_count_below_one_exits_two(self, args):
+        res = run_cli(*args, "--trials", "50", "--snr-db", "10")
+        assert res.returncode == 2
+        assert "must be >= 1" in res.stderr and res.stdout == ""
+        assert "Traceback" not in res.stderr
+
     def test_max_trials_below_trials_exits_two(self, tmp_path):
         out = tmp_path / "o.csv"
         res = run_cli("simulate", "--trials", "10", "--max-trials", "3",
