@@ -173,8 +173,7 @@ def _translate_log_tables(links: LinkTables, points):
             - scale[..., None, None] * np.abs(diff) ** 2)
 
 
-def bp2_batch(links: LinkTables, constellation: Constellation, iterations: int,
-              order=None) -> np.ndarray:
+def bp2_batch(links: LinkTables, constellation: Constellation, iterations: int) -> np.ndarray:
     """Beliefs of the fully-connected discrete scheme; (B, M, Q)."""
     B, m, _ = links.a_diag.shape
     size = constellation.size
@@ -193,31 +192,43 @@ def bp2_batch(links: LinkTables, constellation: Constellation, iterations: int,
     return np.exp(_norm_log(inc.sum(axis=1)))
 
 
+def _ring_sweep(into_f, into_b, log_prior, iterations, order):
+    """Beliefs of the tail-biting forward/backward ring recursion; (B, M, Q).
+
+    ``into_f[r]`` and ``into_b[r]`` are the (B, Q, Q) log tables [b, s, t] of
+    the hop into ring position r, with t the symbol of position r - 1 and
+    r + 1 respectively. ``log_prior`` (Q,) is added to every incoming message
+    and to the beliefs; zeros leave them as they are.
+    """
+    m = len(into_f)
+    B, size, _ = into_f[0].shape
+    fwd = np.full((B, m, size), -np.log(size))
+    bwd = np.full((B, m, size), -np.log(size))
+    for _ in range(iterations):
+        for r in range(m):
+            inc = log_prior + fwd[:, r - 1]
+            fwd[:, r] = _norm_log(_lse(into_f[r] + inc[:, None, :], axis=2))
+        for r in reversed(range(m)):
+            inc = log_prior + bwd[:, (r + 1) % m]
+            bwd[:, r] = _norm_log(_lse(into_b[r] + inc[:, None, :], axis=2))
+    beliefs = np.empty((B, m, size))
+    for r in range(m):
+        beliefs[:, order[r]] = np.exp(_norm_log(log_prior + fwd[:, r] + bwd[:, r]))
+    return beliefs
+
+
 def bp3_batch(links: LinkTables, constellation: Constellation, iterations: int,
               order=None) -> np.ndarray:
     """Beliefs of the ring scheme, full sequential turns; (B, M, Q)."""
     B, m, _ = links.a_diag.shape
-    size = constellation.size
     order = ring_order(m, order)
     if m == 1:
         # no ring: the diagonal of LinkTables is no link, so the belief is the prior
         return np.tile(constellation.prior, (B, 1, 1))
     log_t = _translate_log_tables(links, constellation.points)
-    lt_f = [log_t[:, order[(r + 1) % m], order[r]] for r in range(m)]
-    lt_b = [log_t[:, order[(r - 1) % m], order[r]] for r in range(m)]
-    fwd = np.full((B, m, size), -np.log(size))
-    bwd = np.full((B, m, size), -np.log(size))
-    for _ in range(iterations):
-        for r in range(m):
-            prev = (r - 1) % m
-            fwd[:, r] = _norm_log(_lse(lt_f[prev] + fwd[:, prev][:, None, :], axis=2))
-        for r in reversed(range(m)):
-            nxt = (r + 1) % m
-            bwd[:, r] = _norm_log(_lse(lt_b[nxt] + bwd[:, nxt][:, None, :], axis=2))
-    beliefs = np.empty((B, m, size))
-    for r in range(m):
-        beliefs[:, order[r]] = np.exp(_norm_log(fwd[:, r] + bwd[:, r]))
-    return beliefs
+    return _ring_sweep([log_t[:, order[r], order[r - 1]] for r in range(m)],
+                       [log_t[:, order[r], order[(r + 1) % m]] for r in range(m)],
+                       np.zeros(constellation.size), iterations, order)
 
 
 def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
@@ -230,29 +241,14 @@ def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
     B, n_rx, m = H.shape
     if m < 2:
         raise ValueError("channel shortening needs at least two streams")
-    size = constellation.size
     order = ring_order(m, order)
     points = constellation.points
     y_eff, a_diag, a_sub = _pair_filters(H, y, sigma2, [(order[r], order[r - 1]) for r in range(m)])
     # [r, b, t, s] = log density of y_eff[r] given previous symbol t and target s
     mu = a_diag[..., None, None] * points + a_sub[..., None, None] * points[:, None]
     tables = -np.abs(y_eff[..., None, None] - mu) ** 2 / a_diag[..., None, None]
-    log_prior = np.log(constellation.prior)
-    alpha = np.full((B, m, size), -np.log(size))
-    beta = np.full((B, m, size), -np.log(size))
-    for _ in range(iterations):
-        for r in range(m):
-            prev = (r - 1) % m
-            inc = log_prior[None, :] + alpha[:, prev]
-            alpha[:, r] = _norm_log(_lse(tables[r] + inc[:, :, None], axis=1))
-        for r in reversed(range(m)):
-            nxt = (r + 1) % m
-            inc = log_prior[None, :] + beta[:, nxt]
-            beta[:, r] = _norm_log(_lse(tables[nxt] + inc[:, None, :], axis=2))
-    beliefs = np.empty((B, m, size))
-    for r in range(m):
-        beliefs[:, order[r]] = np.exp(_norm_log(log_prior[None, :] + alpha[:, r] + beta[:, r]))
-    return beliefs
+    return _ring_sweep(np.swapaxes(tables, 2, 3), [tables[(r + 1) % m] for r in range(m)],
+                       np.log(constellation.prior), iterations, order)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ order-independent, so results are byte-identical for any batch size. All
 detectors inside one trial see the same channel, symbols and noise, which
 makes BER comparisons paired. Wall-clock columns are the one exception to
 byte-identical output; everything else is deterministic.
+
+``simulate`` and ``iterstudy`` share one BER loop over arms, each arm a
+(detector, iteration count) pair: one arm per detector at its configured
+count, or one per BP2/BP3 detector and ``iter_list`` count. Every arm sees
+the same draws, and ``target_errors``/``max_trials`` apply to every arm.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .polydiag import bidiagonalize, forward_backward_detect
 
 DETECTORS = ("MAP", "ML", "LMMSE", "BP1", "BP2", "BP3", "FB", "GBP2G", "GBP3G")
 LATTICE_DETECTORS = ("MAP", "ML", "BP1")
+LINKED_DETECTORS = ("BP2", "BP3", "GBP2G", "GBP3G")  # read batch.link_tables
 DEFAULT_ITERATIONS = {"BP1": 4, "BP2": 3, "BP3": 4, "FB": 4}
 
 
@@ -79,6 +85,10 @@ class SimConfig:
         for key in ("trials", "batch_size", "gbp_sweeps", "sweeps", "channels"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        if not self.iter_list:
+            raise ConfigError("iter_list must not be empty")
+        if min(self.iter_list) < 1:
+            raise ConfigError(f"iter_list counts must be >= 1, got {self.iter_list}")
         if self.max_trials is not None and self.max_trials < self.trials:
             raise ConfigError(f"max_trials ({self.max_trials}) must be >= trials ({self.trials})")
         if not 0 <= self.seed < 2 ** 64:
@@ -144,8 +154,7 @@ def parse_config_text(text: str) -> dict:
                 raise ConfigError(f"line {lineno}: unknown detector {det!r} in {key!r}")
             out.setdefault("iterations", {})[det] = _parse_scalar(key, value, lineno, int)
         elif key == "iterations":
-            out["iterations"] = {d: _parse_scalar(key, value, lineno, int)
-                                 for d in DEFAULT_ITERATIONS}
+            out["iterations"] = _all_iterations(_parse_scalar(key, value, lineno, int))
         elif key in _LIST_KEYS:
             out[key] = _parse_list(key, value, lineno)
         elif key in _INT_KEYS:
@@ -157,6 +166,13 @@ def parse_config_text(text: str) -> dict:
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return out
+
+
+def _all_iterations(count: int) -> dict:
+    """One scalar iteration count for every iterative detector."""
+    if count < 1:
+        raise ConfigError(f"iterations must be >= 1, got {count}")
+    return dict.fromkeys(DEFAULT_ITERATIONS, count)
 
 
 def _parse_scalar(key, value, lineno, cast):
@@ -184,9 +200,7 @@ def load_config(path=None, overrides=None) -> SimConfig:
         if value is None:
             continue
         if key == "iterations" and isinstance(value, int):
-            merged = dict(data.get("iterations", {}))
-            merged.update({d: value for d in DEFAULT_ITERATIONS})
-            value = merged
+            value = {**data.get("iterations", {}), **_all_iterations(value)}
         data[key] = value
     try:
         cfg = SimConfig(**data)
@@ -222,15 +236,12 @@ def generate_batch(cfg: SimConfig, constellation, sigma2, snr_idx, start, count)
     return H, idx, y
 
 
-def _detect_batch(detector, H, y, sigma2, constellation, cfg: SimConfig, cache):
-    """Hard decisions (B, M) for one detector on one generated batch."""
-    order = cfg.permutation
+def _detect_batch(detector, count, H, y, sigma2, constellation, tables, order):
+    """Hard decisions (B, M) of one arm on one generated batch.
 
-    def links():
-        if "links" not in cache:
-            cache["links"] = batch.link_tables(H, y, sigma2)
-        return cache["links"]
-
+    ``count`` is the arm's iteration or sweep count and ``tables`` the
+    batch's link tables, or None when no arm needs them.
+    """
     if detector == "LMMSE":
         xhat, _ = batch.lmmse_batch(H, y, sigma2)
         return constellation.slice_hard(xhat)
@@ -239,21 +250,17 @@ def _detect_batch(detector, H, y, sigma2, constellation, cfg: SimConfig, cache):
     if detector == "MAP":
         return np.argmax(batch.map_marginals_batch(H, y, sigma2, constellation), axis=2)
     if detector == "BP1":
-        beliefs = batch.bp1_batch(H, y, sigma2, constellation, cfg.iteration_count("BP1"))
-        return np.argmax(beliefs, axis=2)
+        return np.argmax(batch.bp1_batch(H, y, sigma2, constellation, count), axis=2)
     if detector == "BP2":
-        beliefs = batch.bp2_batch(links(), constellation, cfg.iteration_count("BP2"))
-        return np.argmax(beliefs, axis=2)
+        return np.argmax(batch.bp2_batch(tables, constellation, count), axis=2)
     if detector == "BP3":
-        beliefs = batch.bp3_batch(links(), constellation, cfg.iteration_count("BP3"), order=order)
-        return np.argmax(beliefs, axis=2)
+        return np.argmax(batch.bp3_batch(tables, constellation, count, order=order), axis=2)
     if detector == "FB":
-        beliefs = batch.fb_batch(H, y, sigma2, constellation, cfg.iteration_count("FB"), order=order)
-        return np.argmax(beliefs, axis=2)
+        return np.argmax(batch.fb_batch(H, y, sigma2, constellation, count, order=order), axis=2)
     if detector == "GBP2G":
-        return constellation.slice_hard(batch.gbp2g_batch(links(), cfg.gbp_sweeps))
+        return constellation.slice_hard(batch.gbp2g_batch(tables, count))
     if detector == "GBP3G":
-        return constellation.slice_hard(batch.gbp3g_batch(links(), cfg.gbp_sweeps, order=order))
+        return constellation.slice_hard(batch.gbp3g_batch(tables, count, order=order))
     raise ConfigError(f"unknown detector {detector!r}")
 
 
@@ -274,16 +281,39 @@ def _ci95(errors, n_bits):
 
 
 def run_simulate(cfg: SimConfig):
-    """BER per (detector, SNR); common random numbers across detectors."""
+    """BER per (detector, SNR) at the configured counts."""
+    return _run_arms(cfg, [(d, None) for d in cfg.detectors])
+
+
+def run_iterstudy(cfg: SimConfig):
+    """BER per (detector, iteration count, SNR) for the pairwise BP detectors."""
+    bad = [d for d in cfg.detectors if d not in ("BP2", "BP3")]
+    if bad:
+        raise ConfigError(f"iterstudy supports BP2/BP3 only, got {bad}")
+    return _run_arms(cfg, [(d, k) for d in cfg.detectors for k in cfg.iter_list])
+
+
+def _run_arms(cfg: SimConfig, arms):
+    """BER per (arm, SNR); common random numbers across arms.
+
+    An arm is a (detector, count) pair and is kept by position, so a repeated
+    arm gives a repeated record. A count of None means the configured one,
+    ``gbp_sweeps`` for GBP and ``iteration_count`` otherwise, and leaves the
+    record's ``iterations`` empty.
+    """
     constellation = get_constellation(cfg.constellation)
     _check_capacity(cfg, constellation)
     labels = constellation.bit_labels
     bits_per_trial = cfg.m * constellation.bits_per_symbol
+    counts = [k if k is not None else
+              cfg.gbp_sweeps if d.startswith("GBP") else cfg.iteration_count(d)
+              for d, k in arms]
+    linked = any(d in LINKED_DETECTORS for d, _ in arms)
     records = []
     for snr_idx, snr in enumerate(cfg.snr_db):
         sigma2 = 10.0 ** (-snr / 10.0)
-        errors = {d: [] for d in cfg.detectors}
-        elapsed = {d: 0.0 for d in cfg.detectors}
+        errors = [[] for _ in arms]
+        elapsed = [0.0] * len(arms)
         hard_cap = cfg.max_trials or (cfg.trials if cfg.target_errors is None
                                       else 100 * cfg.trials)
         done = 0
@@ -291,29 +321,30 @@ def run_simulate(cfg: SimConfig):
             count = min(cfg.batch_size, hard_cap - done)
             H, idx_true, y = generate_batch(cfg, constellation, sigma2, snr_idx, done, count)
             bits_true = labels[idx_true]
-            cache: dict = {}
-            for det in cfg.detectors:
+            tables = batch.link_tables(H, y, sigma2) if linked else None
+            for a, (det, _) in enumerate(arms):
                 t0 = time.perf_counter()
-                idx_hat = _detect_batch(det, H, y, sigma2, constellation, cfg, cache)
-                elapsed[det] += time.perf_counter() - t0
-                errors[det].append(np.sum(labels[idx_hat] != bits_true, axis=(1, 2)))
+                idx_hat = _detect_batch(det, counts[a], H, y, sigma2, constellation, tables,
+                                        cfg.permutation)
+                elapsed[a] += time.perf_counter() - t0
+                errors[a].append(np.sum(labels[idx_hat] != bits_true, axis=(1, 2)))
             done += count
             if _stopping_met(cfg, errors, done):
                 break
-        for det in cfg.detectors:
-            per_trial = np.concatenate(errors[det])
+        for (det, k), chunks, secs in zip(arms, errors, elapsed):
+            per_trial = np.concatenate(chunks)
             used = _trials_used(cfg, per_trial)
             n_err = int(per_trial[:used].sum())
             n_bits = used * bits_per_trial
             records.append(BerRecord(detector=det, snr_db=snr, trials=used,
                                      bit_errors=n_err, ber=n_err / n_bits,
                                      ci95=float(_ci95(n_err, n_bits)),
-                                     elapsed_s=elapsed[det]))
+                                     elapsed_s=secs, iterations=k))
     return records
 
 
 def _trials_used(cfg, per_trial):
-    """Stopping trial for one detector; independent of batch partitioning."""
+    """Stopping trial for one arm; independent of batch partitioning."""
     total = per_trial.shape[0]
     if cfg.target_errors is None:
         return min(cfg.trials, total)
@@ -330,56 +361,10 @@ def _stopping_met(cfg, errors, done):
         return done >= cfg.trials
     if done < cfg.trials:
         return False
-    for chunks in errors.values():
+    for chunks in errors:
         if sum(int(c.sum()) for c in chunks) < cfg.target_errors:
             return False
     return True
-
-
-def run_iterstudy(cfg: SimConfig):
-    """BER versus iteration count for the pairwise BP detectors.
-
-    All iteration settings reuse identical channel and noise draws, so the
-    comparison is paired.
-    """
-    bad = [d for d in cfg.detectors if d not in ("BP2", "BP3")]
-    if bad:
-        raise ConfigError(f"iterstudy supports BP2/BP3 only, got {bad}")
-    constellation = get_constellation(cfg.constellation)
-    labels = constellation.bit_labels
-    bits_per_trial = cfg.m * constellation.bits_per_symbol
-    records = []
-    for snr_idx, snr in enumerate(cfg.snr_db):
-        sigma2 = 10.0 ** (-snr / 10.0)
-        err = {(d, k): 0 for d in cfg.detectors for k in cfg.iter_list}
-        elapsed = {key: 0.0 for key in err}
-        done = 0
-        while done < cfg.trials:
-            count = min(cfg.batch_size, cfg.trials - done)
-            H, idx_true, y = generate_batch(cfg, constellation, sigma2, snr_idx, done, count)
-            bits_true = labels[idx_true]
-            tables = batch.link_tables(H, y, sigma2)
-            for det in cfg.detectors:
-                for k in cfg.iter_list:
-                    t0 = time.perf_counter()
-                    if det == "BP2":
-                        beliefs = batch.bp2_batch(tables, constellation, k)
-                    else:
-                        beliefs = batch.bp3_batch(tables, constellation, k, order=cfg.permutation)
-                    idx_hat = np.argmax(beliefs, axis=2)
-                    elapsed[(det, k)] += time.perf_counter() - t0
-                    err[(det, k)] += int(np.sum(labels[idx_hat] != bits_true))
-            done += count
-        n_bits = cfg.trials * bits_per_trial
-        for det in cfg.detectors:
-            for k in cfg.iter_list:
-                records.append(BerRecord(detector=det, snr_db=snr, trials=cfg.trials,
-                                         bit_errors=err[(det, k)],
-                                         ber=err[(det, k)] / n_bits,
-                                         ci95=float(_ci95(err[(det, k)], n_bits)),
-                                         elapsed_s=elapsed[(det, k)],
-                                         iterations=k))
-    return records
 
 
 @dataclass(frozen=True)

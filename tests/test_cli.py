@@ -49,12 +49,20 @@ class TestExitCodes:
         ("simulate", "--detectors", "GBP2G,GBP3G", "--gbp-sweeps", "0"),
         ("converge", "--sweeps", "0"),
         ("converge", "--channels", "0"),
+        ("iterstudy", "--iter-list", "0,-2"),
     ])
     def test_sweep_count_below_one_exits_two(self, args):
         res = run_cli(*args, "--trials", "50", "--snr-db", "10")
         assert res.returncode == 2
         assert "must be >= 1" in res.stderr and res.stdout == ""
         assert "Traceback" not in res.stderr
+
+    def test_scalar_iterations_below_one_names_no_other_detector(self):
+        res = run_cli("simulate", "--detectors", "BP3", "--iterations", "0",
+                      "--trials", "50", "--snr-db", "10")
+        assert res.returncode == 2
+        assert "iterations must be >= 1" in res.stderr and "BP1" not in res.stderr
+        assert res.stdout == ""
 
     def test_max_trials_below_trials_exits_two(self, tmp_path):
         out = tmp_path / "o.csv"

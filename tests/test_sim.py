@@ -61,6 +61,10 @@ class TestConfigParsing:
             SimConfig(constellation="8PSK").validate()
         with pytest.raises(ConfigError, match="FB needs M >= 2"):
             SimConfig(m=1, n=1, detectors=("FB",)).validate()
+        with pytest.raises(ConfigError, match="iter_list"):
+            SimConfig(iter_list=()).validate()
+        with pytest.raises(ConfigError, match="iter_list"):
+            SimConfig(iter_list=(2, 0)).validate()
 
     def test_max_trials_below_trials_rejected(self):
         with pytest.raises(ConfigError, match="max_trials"):
@@ -146,10 +150,21 @@ class TestIterstudy:
             run_iterstudy(cfg)
 
     def test_shared_draws_across_iteration_counts(self):
-        cfg = SimConfig(snr_db=(8.0,), detectors=("BP2",), trials=300, seed=10,
-                        iter_list=(2, 2)).validate()
-        recs = run_iterstudy(cfg)
+        base = dict(snr_db=(8.0,), detectors=("BP2",), trials=300, seed=10)
+        recs = run_iterstudy(SimConfig(iter_list=(2, 2), **base).validate())
         assert recs[0].bit_errors == recs[1].bit_errors
+        single, = run_iterstudy(SimConfig(iter_list=(2,), **base).validate())
+        for rec in recs:
+            assert (rec.iterations, rec.trials, rec.bit_errors) == (2, 300, single.bit_errors)
+
+    def test_target_errors_and_max_trials_apply(self):
+        base = dict(snr_db=(8.0,), detectors=("BP2", "BP3"), trials=100, seed=19,
+                    target_errors=10 ** 6, max_trials=300, batch_size=128)
+        study = run_iterstudy(SimConfig(iter_list=(2,), **base).validate())
+        plain = run_simulate(SimConfig(iterations={"BP2": 2, "BP3": 2}, **base).validate())
+        assert [r.trials for r in study] == [300, 300]
+        assert ([(r.detector, r.trials, r.bit_errors) for r in study]
+                == [(r.detector, r.trials, r.bit_errors) for r in plain])
 
     def test_more_iterations_changes_little_at_bp3(self):
         cfg = SimConfig(snr_db=(8.0,), detectors=("BP3",), trials=500, seed=11,
