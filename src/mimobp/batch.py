@@ -7,7 +7,7 @@ Shapes: H is (B, N, M), y is (B, N), messages carry a trailing
 constellation axis of length Q. Inside, the lattice kernels (ML, MAP, BP1)
 put the L = Q^M lattice points first and the trials last, e.g. (L, N, B),
 and GBP2G keeps its messages as (M, M, B), so that their reductions run
-over long contiguous rows.
+over long contiguous rows. All pairwise links come from one posterior per trial.
 """
 
 from __future__ import annotations
@@ -40,22 +40,25 @@ def _norm_log(lp, axis=-1):
     return lp - np.expand_dims(_lse(lp, axis=axis), axis)
 
 
-def full_covariance(H, sigma2):
-    B, n_rx, _ = H.shape
-    K = np.einsum("bnm,bpm->bnp", H, H.conj())
-    K[:, np.arange(n_rx), np.arange(n_rx)] += sigma2
-    return K
+def _posterior(H, y, sigma2):
+    """W and xhat, (B, M, M) and (B, M), of the posterior of x ~ CN(0, I):
+    covariance sigma2 W W^H = sigma2 A^{-1} and mean xhat = A^{-1} H^H y,
+    A = sigma2 I + H^H H = R^H R from a QR of [[H, y], [sqrt(sigma2) I, 0]].
+    R has the square root of A's condition number, so A is never formed."""
+    B, n, m = H.shape
+    S = np.zeros((B, n + m, m + 1), dtype=complex)
+    S[:, :n, :m], S[:, :n, m] = H, y
+    S[:, n + np.arange(m), np.arange(m)] = np.sqrt(sigma2)
+    R = np.linalg.qr(S, mode="r")  # [[R, z], [0, r]], z = Q^H [y; 0] so xhat = R^{-1} z
+    sol = np.linalg.solve(R[:, :m, :m], np.concatenate(
+        [np.broadcast_to(np.eye(m), (B, m, m)), R[:, :m, m:]], axis=2))
+    return sol[:, :, :m], sol[:, :, m]
 
 
 def lmmse_batch(H, y, sigma2):
     """Batched linear MMSE: returns (estimates (B, M), per-component MSE)."""
-    m = H.shape[2]
-    K = full_covariance(H, sigma2)
-    rhs = np.concatenate([H, y[:, :, None]], axis=2)
-    sol = np.linalg.solve(K, rhs)
-    xhat = np.einsum("bnm,bn->bm", H.conj(), sol[:, :, m])
-    mmse = 1.0 - np.real(np.einsum("bnm,bnm->bm", H.conj(), sol[:, :, :m]))
-    return xhat, mmse
+    W, xhat = _posterior(H, y, sigma2)
+    return xhat, sigma2 * np.einsum("bjk,bjk->bj", W, W.conj()).real
 
 
 def check_lattice_capacity(m, constellation, what="lattice enumeration"):
@@ -128,35 +131,27 @@ class LinkTables:
     v_var: np.ndarray
 
 
-def _pair_filters(H, y, sigma2, pairs):
-    """Conditional MMSE filters c = K_ji^{-1} h_j of the ordered pairs (j, i).
+def _posterior_links(H, y, sigma2, j, i):
+    """(a_jj, a_ji, y'_j) of the ordered pairs (j | i); ``j``, ``i`` broadcast, j == i reads 0.
 
-    Returns c^H y, Re c^H h_j and c^H h_i, each (len(pairs), B).
+    With U = [h_j h_i] and K = H H^H + sigma2 I = K_ji + U U^H, Woodbury makes
+    the posterior covariance block P_(j,i) = (I + U^H K_ji^{-1} U)^{-1}. So
+    a_jj, a_ji and y'_j = h_j^H K_ji^{-1} y are the first rows of
+    P_(j,i)^{-1} - I and P_(j,i)^{-1} xhat_(j,i), and no K_ji is formed.
     """
-    B = H.shape[0]
-    K = full_covariance(H, sigma2)
-    y_f = np.empty((len(pairs), B), dtype=complex)
-    a_diag = np.empty((len(pairs), B))
-    a_cross = np.empty((len(pairs), B), dtype=complex)
-    for p, (j, i) in enumerate(pairs):
-        hj, hi = H[:, :, j], H[:, :, i]
-        Kji = K - np.einsum("bn,bp->bnp", hj, hj.conj()) - np.einsum("bn,bp->bnp", hi, hi.conj())
-        c = np.linalg.solve(Kji, hj[:, :, None])[:, :, 0]
-        a_diag[p] = np.real(np.einsum("bn,bn->b", c.conj(), hj))
-        a_cross[p] = np.einsum("bn,bn->b", c.conj(), hi)
-        y_f[p] = np.einsum("bn,bn->b", c.conj(), y)
-    return y_f, a_diag, a_cross
+    W, xhat = _posterior(H, y, sigma2)
+    P = sigma2 * np.einsum("bjk,bik->bji", W, W.conj())
+    link = j != i
+    p_jj, p_ii = P[:, j, j].real, P[:, i, i].real
+    p_ji = P[:, j, i] * link
+    det = p_jj * p_ii - np.abs(p_ji) ** 2  # P_jj^2 > 0 where j == i
+    return (link * (p_ii / det - 1.0), -p_ji / det,
+            link * (p_ii * xhat[:, j] - p_ji * xhat[:, i]) / det)
 
 
 def link_tables(H, y, sigma2) -> LinkTables:
-    B, n_rx, m = H.shape
-    off = ~np.eye(m, dtype=bool)
-    y_f, a_f, c_f = _pair_filters(H, y, sigma2, list(zip(*np.nonzero(off))))
-    y_prime = np.zeros((B, m, m), dtype=complex)
-    a_diag = np.zeros((B, m, m))
-    a_cross = np.zeros((B, m, m), dtype=complex)
-    # the mask enumerates the pairs row-major, in the order they were built
-    y_prime[:, off], a_diag[:, off], a_cross[:, off] = y_f.T, a_f.T, c_f.T
+    m = H.shape[2]
+    a_diag, a_cross, y_prime = _posterior_links(H, y, sigma2, *np.indices((m, m)))
     scale = 1.0 + a_diag
     u = y_prime / scale
     v = -a_cross / scale
@@ -164,10 +159,10 @@ def link_tables(H, y, sigma2) -> LinkTables:
                       u=u, v=v, u_var=1.0 / scale, v_var=np.abs(v) ** 2)
 
 
-def _translate_log_tables(links: LinkTables, points):
-    """(B, M, M, Q, Q) array; [b, j, i, s, t] = log p(x_j = s | x_i = t)."""
-    scale = 1.0 + links.a_diag
-    mean = (links.y_prime[..., None] - links.a_cross[..., None] * points) / scale[..., None]
+def _translate_log_tables(links: LinkTables, points, j=slice(None), i=slice(None)):
+    """[b, pairs..., s, t] = log p(x_j = s | x_i = t) of the pairs [:, j, i]; default all."""
+    scale = 1.0 + links.a_diag[:, j, i]
+    mean = (links.y_prime[:, j, i, None] - links.a_cross[:, j, i, None] * points) / scale[..., None]
     diff = points[:, None] - mean[..., None, :]
     return (np.log(scale / np.pi)[..., None, None]
             - scale[..., None, None] * np.abs(diff) ** 2)
@@ -225,10 +220,12 @@ def bp3_batch(links: LinkTables, constellation: Constellation, iterations: int,
     if m == 1:
         # no ring: the diagonal of LinkTables is no link, so the belief is the prior
         return np.tile(constellation.prior, (B, 1, 1))
-    log_t = _translate_log_tables(links, constellation.points)
-    return _ring_sweep([log_t[:, order[r], order[r - 1]] for r in range(m)],
-                       [log_t[:, order[r], order[(r + 1) % m]] for r in range(m)],
-                       np.zeros(constellation.size), iterations, order)
+    tgt = np.array(order)
+    # [b, d, r]: the hop into ring position r from r - 1 (d = 0) and r + 1 (d = 1)
+    log_t = _translate_log_tables(links, constellation.points, tgt,
+                                  np.stack([np.roll(tgt, 1), np.roll(tgt, -1)]))
+    into_f, into_b = np.moveaxis(log_t, 0, 2)
+    return _ring_sweep(into_f, into_b, np.zeros(constellation.size), iterations, order)
 
 
 def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
@@ -243,7 +240,8 @@ def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
         raise ValueError("channel shortening needs at least two streams")
     order = ring_order(m, order)
     points = constellation.points
-    y_eff, a_diag, a_sub = _pair_filters(H, y, sigma2, [(order[r], order[r - 1]) for r in range(m)])
+    tgt = np.array(order)
+    a_diag, a_sub, y_eff = (a.T for a in _posterior_links(H, y, sigma2, tgt, np.roll(tgt, 1)))
     # [r, b, t, s] = log density of y_eff[r] given previous symbol t and target s
     mu = a_diag[..., None, None] * points + a_sub[..., None, None] * points[:, None]
     tables = -np.abs(y_eff[..., None, None] - mu) ** 2 / a_diag[..., None, None]

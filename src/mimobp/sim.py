@@ -94,8 +94,8 @@ class SimConfig:
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
         for det, count in self.iterations.items():
-            if det not in DETECTORS:
-                raise ConfigError(f"iteration count for unknown detector {det!r}")
+            if det not in DEFAULT_ITERATIONS:
+                raise ConfigError(f"{det} takes no iteration count (GBP sweeps: gbp_sweeps)")
             if count < 1:
                 raise ConfigError(f"iterations for {det} must be >= 1")
         if self.fmt not in ("csv", "json"):

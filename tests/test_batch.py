@@ -2,9 +2,10 @@
 
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mimobp import (BpConfig, CapacityError, ChannelInstance, GbpConfig, Topology,
@@ -67,6 +68,47 @@ def test_link_tables_match_reference(stacked):
             assert t.a_cross[b, j, i] == pytest.approx(link.a_ji, rel=1e-10, abs=1e-12)
             assert t.u[b, j, i] == pytest.approx(link.u, rel=1e-10)
             assert t.v[b, j, i] == pytest.approx(link.v, rel=1e-10, abs=1e-12)
+
+
+def _mp_links(H, y, sigma2):
+    """40-digit (a_jj, a_ji, y'_j) of every ordered pair, [k, j, i], from the
+    conditional filter c = K_ji^{-1} h_j itself."""
+    n, m = H.shape
+    out = np.zeros((3, m, m), dtype=complex)
+    with mpmath.workdps(40):
+        cols = [mpmath.matrix([complex(v) for v in H[:, k]]) for k in range(m)]
+        ym = mpmath.matrix([complex(v) for v in y])
+        for j in range(m):
+            for i in range(m):
+                if i == j:
+                    continue
+                K = mpmath.mpf(sigma2) * mpmath.eye(n)
+                for k in set(range(m)) - {j, i}:
+                    K += cols[k] * cols[k].H
+                c = mpmath.lu_solve(K, cols[j])
+                out[:, j, i] = [complex((c.H * v)[0]) for v in (cols[j], cols[i], ym)]
+    return out
+
+
+# The worst |got - ref| / (1 + |ref|) of 12500 swept trials was 1.3e-12, at
+# M = N = 6 and 39 dB; the per-pair conditional solve reached 2.7e-10.
+LINK_TOL = 5e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(m, 6), st.sampled_from(("QPSK", "QAM16")),
+    st.floats(-10.0, 40.0), st.integers(0, 2 ** 32 - 1))))
+def test_link_tables_match_extended_precision_across_snr(case):
+    m, n, name, snr, seed = case
+    sigma2 = 10.0 ** (-snr / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=seed)
+    H, _, y = generate_batch(cfg, get_constellation(name), sigma2, 0, 0, 2)
+    t = batch.link_tables(H, y, sigma2)
+    for b in range(2):
+        ref = _mp_links(H[b], y[b], sigma2)
+        got = np.stack([t.a_diag[b], t.a_cross[b], t.y_prime[b]])
+        assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < LINK_TOL
 
 
 @pytest.mark.parametrize("iters", [1, 3])
@@ -209,6 +251,9 @@ def pairwise_cases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(pairwise_cases())
+# high SNR: a link solve that subtracts h_j h_j^H and h_i h_i^H from the
+# full covariance missed the reference by 4.0e-12 on trial 0 of this case
+@example((3, 3, "QAM16", 27.7, 347247696, 1, (0, 1, 2)))
 def test_pairwise_batches_match_reference_across_snr(case):
     m, n, name, snr, seed, iters, perm = case
     c = get_constellation(name)

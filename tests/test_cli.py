@@ -64,6 +64,15 @@ class TestExitCodes:
         assert "iterations must be >= 1" in res.stderr and "BP1" not in res.stderr
         assert res.stdout == ""
 
+    def test_iteration_count_on_a_detector_without_iterations_exits_two(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("iterations.GBP2G = 1\niterations.LMMSE = 7\n")
+        res = run_cli("simulate", "--config", str(cfgfile), "--detectors", "GBP2G,LMMSE",
+                      "--trials", "50", "--snr-db", "10")
+        assert res.returncode == 2
+        assert "takes no iteration count" in res.stderr and res.stdout == ""
+        assert "Traceback" not in res.stderr
+
     def test_max_trials_below_trials_exits_two(self, tmp_path):
         out = tmp_path / "o.csv"
         res = run_cli("simulate", "--trials", "10", "--max-trials", "3",
