@@ -149,6 +149,22 @@ def get_constellation(name: str) -> Constellation:
     raise ValueError(f"unknown constellation {name!r}")
 
 
+# Stream layout: id k of a stream is 64-bit word _ID_WORD + k of its Philox
+# counter, and the words below count the draws within the stream.
+_ID_WORD = 2
+
+
+def _stream_counter(ids) -> int:
+    """Philox counter at the start of stream ``ids``."""
+    counter = 0
+    for k, v in enumerate(ids):
+        v = int(v)
+        if not 0 <= v < 2 ** 64:
+            raise ValueError("stream ids must fit in 64 bits")
+        counter += v << (64 * (_ID_WORD + k))
+    return counter
+
+
 def trial_rng(seed, *ids) -> np.random.Generator:
     """Independent counter-based stream for (seed, ids...).
 
@@ -156,13 +172,35 @@ def trial_rng(seed, *ids) -> np.random.Generator:
     range; trials can therefore run in any order or partitioning and still
     reproduce bit-identically.
     """
-    counter = 0
-    for k, v in enumerate(ids):
-        v = int(v)
-        if not 0 <= v < 2 ** 64:
-            raise ValueError("stream ids must fit in 64 bits")
-        counter += v << (128 + 64 * k)
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=_stream_counter(ids)))
+
+
+def consecutive_streams(g: np.random.Generator, first, count, *rest):
+    """Iterator that moves ``g`` through ``count`` consecutive trial streams.
+
+    ``g`` draws from a Philox keyed by ``seed``, such as
+    ``trial_rng(seed, first, *rest)``. Before yielding b it is moved to the
+    start of stream (seed, first + b, *rest), so its draws until the next step
+    equal those of a fresh ``trial_rng(seed, first + b, *rest)``: Philox is
+    counter-based and a stream is just its counter. Every id is checked here,
+    before the iterator is returned, with ``trial_rng``'s ``ValueError``.
+    """
+    counter = _stream_counter((first, *rest))
+    if count > 0:
+        _stream_counter((first + count - 1, *rest))
+    words = np.array([(counter >> s) & (2 ** 64 - 1) for s in range(0, 256, 64)], dtype=np.uint64)
+    bg = g.bit_generator
+    state = bg.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    state["state"]["counter"] = words
+
+    def steps():
+        for b in range(count):
+            words[_ID_WORD] = first + b
+            bg.state = state
+            yield b
+
+    return steps()
 
 
 def _as_rng(rng) -> np.random.Generator:

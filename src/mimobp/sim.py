@@ -2,7 +2,9 @@
 
 Reproducibility contract: every trial owns a counter-based random stream
 derived from (master seed, SNR index, trial index), and all aggregation is
-order-independent, so results are byte-identical for any batch size. All
+order-independent, so results are byte-identical for any batch size. A batch
+draws its trials with one Philox generator moved to each trial's counter in
+turn, which yields exactly the numbers of a fresh generator per trial. All
 detectors inside one trial see the same channel, symbols and noise, which
 makes BER comparisons paired. Wall-clock columns are the one exception to
 byte-identical output; everything else is deterministic.
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import batch
-from .channel import ChannelInstance, get_constellation, trial_rng
+from .channel import ChannelInstance, consecutive_streams, get_constellation, trial_rng
 from .discrete_bp import BpConfig, bp1_factor_graph, bp2_fully_connected, bp3_ring, hard_decide, soft_output
 from .errors import ConfigError
 from .exact import lmmse, map_marginals, ml_hard
@@ -93,6 +95,9 @@ class SimConfig:
             raise ConfigError(f"max_trials ({self.max_trials}) must be >= trials ({self.trials})")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
+        for key in ("trials", "max_trials"):
+            if (getattr(self, key) or 0) >= 2 ** 64:
+                raise ConfigError(f"{key} must be below 2^64: trial indices are 64-bit stream ids")
         for det, count in self.iterations.items():
             if det not in DEFAULT_ITERATIONS:
                 raise ConfigError(f"{det} takes no iteration count (GBP sweeps: gbp_sweeps)")
@@ -218,21 +223,29 @@ def generate_batch(cfg: SimConfig, constellation, sigma2, snr_idx, start, count)
     Per-trial draw protocol (fixed for reproducibility): 2NM standard
     normals for the channel, M uniforms for the symbol indices, then 2N
     standard normals for the noise.
+
+    One Philox serves the whole batch: it is moved to each trial's stream in
+    turn and draws straight into that trial's rows, and the channels, symbols
+    and received vectors are then formed for all trials at once. The numbers
+    are those of a fresh ``trial_rng(seed, trial, snr_idx)`` per trial.
     """
     m, n = cfg.m, cfg.n
-    H = np.empty((count, n, m), dtype=complex)
-    idx = np.empty((count, m), dtype=np.int64)
-    y = np.empty((count, n), dtype=complex)
+    g = trial_rng(cfg.seed, start, snr_idx)
+    trials = consecutive_streams(g, start, count, snr_idx)
+    W = np.empty((count, 2 * n * m))
+    U = np.empty((count, m))
+    WN = np.empty((count, 2 * n))
+    for b in trials:
+        g.standard_normal(out=W[b])
+        g.random(out=U[b])
+        g.standard_normal(out=WN[b])
+    H = (W[:, : n * m] + 1j * W[:, n * m:]).reshape(count, n, m) / np.sqrt(2.0)
     cum = np.cumsum(constellation.prior)
-    scale = np.sqrt(sigma2 / 2.0)
-    for b in range(count):
-        g = trial_rng(cfg.seed, start + b, snr_idx)
-        w = g.standard_normal(2 * n * m)
-        H[b] = (w[: n * m] + 1j * w[n * m:]).reshape(n, m) / np.sqrt(2.0)
-        u = g.random(m)
-        idx[b] = np.minimum(np.searchsorted(cum, u, side="right"), constellation.size - 1)
-        wn = g.standard_normal(2 * n)
-        y[b] = H[b] @ constellation.points[idx[b]] + scale * (wn[:n] + 1j * wn[n:])
+    idx = np.minimum(np.searchsorted(cum, U, side="right"), constellation.size - 1)
+    # a stack of matrix-vector products makes the same BLAS call per trial as
+    # H[b] @ x[b], so y is bit-identical to per-trial draws (einsum is not)
+    y = (H @ constellation.points[idx][..., None])[..., 0]
+    y += np.sqrt(sigma2 / 2.0) * (WN[:, :n] + 1j * WN[:, n:])
     return H, idx, y
 
 

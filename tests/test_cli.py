@@ -7,8 +7,8 @@ import pytest
 CLI = [sys.executable, "-m", "mimobp.cli"]
 
 
-def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+def run_cli(*args, timeout=None):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=timeout)
 
 
 def strip_elapsed(text):
@@ -80,6 +80,17 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "max_trials" in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("counts", [
+        ("--trials", str(2 ** 64 + 1)),
+        ("--trials", "10", "--target-errors", "5", "--max-trials", str(2 ** 64)),
+    ])
+    def test_trial_counts_beyond_64_bit_stream_ids_exit_two(self, counts):
+        # such a run could never reach its count, so it must not start
+        res = run_cli("simulate", *counts, "--detectors", "LMMSE", timeout=60)
+        assert res.returncode == 2
+        assert "below 2^64" in res.stderr and res.stdout == ""
+        assert "Traceback" not in res.stderr
 
     def test_missing_config_file(self):
         res = run_cli("simulate", "--config", "/nonexistent/path.cfg")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mimobp import ConfigError, qpsk
+from mimobp import ConfigError, get_constellation, qpsk
 from mimobp import sim
+from mimobp.channel import trial_rng
 from mimobp.sim import (SimConfig, generate_batch, load_config,
                         parse_config_text, run_converge, run_detect,
                         run_iterstudy, run_simulate)
@@ -71,6 +74,13 @@ class TestConfigParsing:
             SimConfig(trials=10, max_trials=3).validate()
         assert SimConfig(trials=10, max_trials=10).validate().max_trials == 10
 
+    def test_trial_counts_must_fit_stream_ids(self):
+        with pytest.raises(ConfigError, match="trials must be below 2"):
+            SimConfig(trials=2 ** 64).validate()
+        with pytest.raises(ConfigError, match="max_trials must be below 2"):
+            SimConfig(trials=10, max_trials=2 ** 64).validate()
+        assert SimConfig(trials=2 ** 64 - 1).validate().trials == 2 ** 64 - 1
+
     def test_scalar_iterations_expands(self):
         cfg = load_config(None, {"iterations": 6, "detectors": ("BP2", "BP3")})
         assert cfg.iteration_count("BP2") == 6
@@ -94,6 +104,41 @@ class TestGeneration:
         H0, _, _ = generate_batch(cfg, c, 0.1, 0, 0, 4)
         H1, _, _ = generate_batch(cfg, c, 0.1, 1, 0, 4)
         assert not np.array_equal(H0, H1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(m, 8), st.sampled_from(("QPSK", "QAM16")),
+        st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 62), st.integers(0, 5),
+        st.integers(0, 6), st.floats(1e-4, 10.0))))
+    @example((4, 6, "QAM16", 2 ** 64 - 1, 2 ** 62, 5, 3, 0.063))
+    @example((8, 8, "QPSK", 0, 0, 0, 0, 0.01))
+    @example((1, 1, "QPSK", 3, 3000, 2, 1, 1.0))
+    def test_batch_follows_per_trial_protocol(self, case):
+        """Trial b of a batch is the documented draws of its own stream."""
+        m, n, name, seed, start, snr_idx, count, sigma2 = case
+        c = get_constellation(name)
+        H, idx, y = generate_batch(SimConfig(m=m, n=n, constellation=name, seed=seed),
+                                   c, sigma2, snr_idx, start, count)
+        assert H.shape == (count, n, m) and idx.shape == (count, m) and y.shape == (count, n)
+        assert idx.dtype == np.int64 and H.dtype == y.dtype == complex
+        cum = np.cumsum(c.prior)
+        for b in range(count):
+            g = trial_rng(seed, start + b, snr_idx)
+            w = g.standard_normal(2 * n * m)
+            H_ref = (w[: n * m] + 1j * w[n * m:]).reshape(n, m) / np.sqrt(2.0)
+            idx_ref = np.minimum(np.searchsorted(cum, g.random(m), side="right"), c.size - 1)
+            wn = g.standard_normal(2 * n)
+            y_ref = H_ref @ c.points[idx_ref] + np.sqrt(sigma2 / 2.0) * (wn[:n] + 1j * wn[n:])
+            assert np.array_equal(H[b], H_ref)
+            assert np.array_equal(idx[b], idx_ref)
+            assert np.array_equal(y[b], y_ref)
+
+    @pytest.mark.parametrize("start, count", [(-1, 1), (-5, 0), (2 ** 64 - 1, 2),
+                                              (2 ** 64, 1), (2 ** 64 - 2, 2 ** 40)])
+    def test_trial_ids_outside_64_bits_rejected_before_allocating(self, start, count):
+        # 2**40 trials of 4x4 would need petabytes: the id check comes first
+        with pytest.raises(ValueError, match="64 bits"):
+            generate_batch(SimConfig(), qpsk(), 0.1, 0, start, count)
 
 
 class TestRunSimulate:
