@@ -3,11 +3,13 @@
 Every kernel here stacks trials along a leading batch axis and reproduces
 the corresponding single-instance reference implementation (the sibling
 modules) to numerical precision; the test suite cross-checks each pair.
-Shapes: H is (B, N, M), y is (B, N), messages carry a trailing
-constellation axis of length Q. Inside, the lattice kernels (ML, MAP, BP1)
-put the L = Q^M lattice points first and the trials last, e.g. (L, N, B),
-and GBP2G keeps its messages as (M, M, B), so that their reductions run
-over long contiguous rows. All pairwise links come from one posterior per trial.
+Shapes: H is (B, N, M), y is (B, N), and beliefs are (B, M, Q) with a
+trailing constellation axis of length Q. Inside, every iterative kernel
+puts the trials last, so that its reductions add long contiguous rows of
+B: the lattice kernels (ML, MAP, BP1) put the L = Q^M lattice points first,
+e.g. (L, N, B), GBP2G keeps its messages as (M, M, B), BP2 as (M, M, Q, B)
+and the ring kernels (BP3, FB) as (M, Q, B). All pairwise links come from
+one posterior per trial.
 """
 
 from __future__ import annotations
@@ -28,15 +30,34 @@ from .pairwise import ring_order
 _EXP_FLOOR = -700.0
 
 
+def _sum(a, axis, keepdims=False):
+    """np.sum over ``axis``, in the same order whatever the trailing batch size.
+
+    With more than one trial on the trailing axis, numpy adds the slices
+    along ``axis`` one after another. With a trailing axis of 1 it drops
+    that axis and may sum ``axis`` pairwise instead, which from 8 terms on
+    rounds differently; adding the slices here in order keeps a lone
+    trial's bits equal to its row of a larger batch.
+    """
+    axis %= a.ndim
+    if a.shape[-1] != 1 or axis == a.ndim - 1:
+        return np.sum(a, axis=axis, keepdims=keepdims)
+    parts = np.moveaxis(a, axis, 0)
+    out = parts[0].copy()
+    for part in parts[1:]:
+        out += part
+    return np.expand_dims(out, axis) if keepdims else out
+
+
 def _lse(a, axis):
     m = np.max(a, axis=axis, keepdims=True)
     t = a - m
     np.maximum(t, _EXP_FLOOR, out=t)
     np.exp(t, out=t)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(t, axis=axis))
+    return np.squeeze(m, axis=axis) + np.log(_sum(t, axis))
 
 
-def _norm_log(lp, axis=-1):
+def _norm_log(lp, axis):
     return lp - np.expand_dims(_lse(lp, axis=axis), axis)
 
 
@@ -101,16 +122,16 @@ def _lattice_sq_residuals(H, y, constellation):
 def ml_hard_batch(H, y, sigma2, constellation):
     """Joint ML decisions; argmin keeps the lexicographically smallest tie."""
     sq, lat = _lattice_sq_residuals(H, y, constellation)
-    return lat[np.argmin(sq.sum(axis=1), axis=0)]
+    return lat[np.argmin(_sum(sq, 1), axis=0)]
 
 
 def map_marginals_batch(H, y, sigma2, constellation):
     """Exact per-symbol posteriors for a batch; (B, M, Q)."""
     sq, lat = _lattice_sq_residuals(H, y, constellation)
     m, size = H.shape[2], constellation.size
-    logp = -sq.sum(axis=1) / sigma2 + np.sum(np.log(constellation.prior)[lat], axis=1)[:, None]
+    logp = -_sum(sq, 1) / sigma2 + np.sum(np.log(constellation.prior)[lat], axis=1)[:, None]
     p = np.exp(_norm_log(_lattice_marginals(logp, size, m), axis=1))  # [j, s, b]
-    p /= p.sum(axis=1, keepdims=True)
+    p /= _sum(p, 1, keepdims=True)
     return np.ascontiguousarray(p.transpose(2, 0, 1))
 
 
@@ -159,56 +180,65 @@ def link_tables(H, y, sigma2) -> LinkTables:
                       u=u, v=v, u_var=1.0 / scale, v_var=np.abs(v) ** 2)
 
 
+def _trials_last(a):
+    """(B, rest...) -> contiguous (rest..., B)."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
 def _translate_log_tables(links: LinkTables, points, j=slice(None), i=slice(None)):
-    """[b, pairs..., s, t] = log p(x_j = s | x_i = t) of the pairs [:, j, i]; default all."""
-    scale = 1.0 + links.a_diag[:, j, i]
-    mean = (links.y_prime[:, j, i, None] - links.a_cross[:, j, i, None] * points) / scale[..., None]
-    diff = points[:, None] - mean[..., None, :]
-    return (np.log(scale / np.pi)[..., None, None]
-            - scale[..., None, None] * np.abs(diff) ** 2)
+    """[pairs..., s, t, b] = log p(x_j = s | x_i = t) of the pairs [b, j, i]; default all."""
+    a_diag, a_cross, y_prime = (_trials_last(a[:, j, i])[..., None, :]
+                                for a in (links.a_diag, links.a_cross, links.y_prime))
+    scale = 1.0 + a_diag  # [pairs..., 1, b]
+    mean = (y_prime - a_cross * points[:, None]) / scale  # [pairs..., t, b]
+    diff = points[:, None, None] - mean[..., None, :, :]
+    return np.log(scale / np.pi)[..., None, :, :] - scale[..., None, :, :] * np.abs(diff) ** 2
 
 
 def bp2_batch(links: LinkTables, constellation: Constellation, iterations: int) -> np.ndarray:
-    """Beliefs of the fully-connected discrete scheme; (B, M, Q)."""
+    """Beliefs of the fully-connected discrete scheme; (B, M, Q).
+
+    Messages are (M, M, Q, B), [j, i, s, b] for the i -> j message about
+    x_j = s. The self-message [j, j] is held at zero, so the sums over
+    sources need no mask.
+    """
     B, m, _ = links.a_diag.shape
     size = constellation.size
     if m == 2:
         return bp3_batch(links, constellation, iterations, order=(0, 1))
-    log_t = _translate_log_tables(links, constellation.points)
-    log_t = np.swapaxes(log_t, 1, 2)  # [b, i, j, s, t]
-    pi = np.full((B, m, m, size), -np.log(size))
-    off = ~np.eye(m, dtype=bool)
+    log_t = _translate_log_tables(links, constellation.points)  # [j, i, s, t, b]
+    self_msg = (np.arange(m), np.arange(m))
+    pi = np.full((m, m, size, B), -np.log(size))
+    pi[self_msg] = 0.0
     for _ in range(iterations):
-        inc = np.where(off[None, :, :, None], pi, 0.0)
-        col = inc.sum(axis=1)  # [b, i, :] total into i
-        lam = _norm_log(col[:, :, None, :] - np.swapaxes(pi, 1, 2))
-        pi = _norm_log(_lse(log_t + lam[:, :, :, None, :], axis=4))
-    inc = np.where(off[None, :, :, None], pi, 0.0)
-    return np.exp(_norm_log(inc.sum(axis=1)))
+        # [j, i]: everything into i except from j
+        lam = _norm_log(pi.sum(axis=1)[None] - np.swapaxes(pi, 0, 1), axis=2)
+        pi = _norm_log(_lse(log_t + lam[:, :, None], axis=3), axis=2)
+        pi[self_msg] = 0.0
+    beliefs = np.exp(_norm_log(pi.sum(axis=1), axis=1))  # [j, s, b]
+    return np.ascontiguousarray(beliefs.transpose(2, 0, 1))
 
 
 def _ring_sweep(into_f, into_b, log_prior, iterations, order):
     """Beliefs of the tail-biting forward/backward ring recursion; (B, M, Q).
 
-    ``into_f[r]`` and ``into_b[r]`` are the (B, Q, Q) log tables [b, s, t] of
-    the hop into ring position r, with t the symbol of position r - 1 and
+    ``into_f[r]`` and ``into_b[r]`` are the (Q, Q, B) log tables [s, t, b]
+    of the hop into ring position r, with t the symbol of position r - 1 and
     r + 1 respectively. ``log_prior`` (Q,) is added to every incoming message
-    and to the beliefs; zeros leave them as they are.
+    and to the beliefs; zeros leave them as they are. Messages are (M, Q, B).
     """
     m = len(into_f)
-    B, size, _ = into_f[0].shape
-    fwd = np.full((B, m, size), -np.log(size))
-    bwd = np.full((B, m, size), -np.log(size))
+    size, _, B = into_f[0].shape
+    log_prior = log_prior[:, None]
+    fwd = np.full((m, size, B), -np.log(size))
+    bwd = np.full((m, size, B), -np.log(size))
     for _ in range(iterations):
         for r in range(m):
-            inc = log_prior + fwd[:, r - 1]
-            fwd[:, r] = _norm_log(_lse(into_f[r] + inc[:, None, :], axis=2))
+            fwd[r] = _norm_log(_lse(into_f[r] + (log_prior + fwd[r - 1]), axis=1), axis=0)
         for r in reversed(range(m)):
-            inc = log_prior + bwd[:, (r + 1) % m]
-            bwd[:, r] = _norm_log(_lse(into_b[r] + inc[:, None, :], axis=2))
+            bwd[r] = _norm_log(_lse(into_b[r] + (log_prior + bwd[(r + 1) % m]), axis=1), axis=0)
     beliefs = np.empty((B, m, size))
-    for r in range(m):
-        beliefs[:, order[r]] = np.exp(_norm_log(log_prior + fwd[:, r] + bwd[:, r]))
+    beliefs[:, list(order)] = np.exp(_norm_log(log_prior + fwd + bwd, axis=1)).transpose(2, 0, 1)
     return beliefs
 
 
@@ -221,10 +251,9 @@ def bp3_batch(links: LinkTables, constellation: Constellation, iterations: int,
         # no ring: the diagonal of LinkTables is no link, so the belief is the prior
         return np.tile(constellation.prior, (B, 1, 1))
     tgt = np.array(order)
-    # [b, d, r]: the hop into ring position r from r - 1 (d = 0) and r + 1 (d = 1)
-    log_t = _translate_log_tables(links, constellation.points, tgt,
-                                  np.stack([np.roll(tgt, 1), np.roll(tgt, -1)]))
-    into_f, into_b = np.moveaxis(log_t, 0, 2)
+    # [d, r]: the hop into ring position r from r - 1 (d = 0) and r + 1 (d = 1)
+    into_f, into_b = _translate_log_tables(links, constellation.points, tgt,
+                                           np.stack([np.roll(tgt, 1), np.roll(tgt, -1)]))
     return _ring_sweep(into_f, into_b, np.zeros(constellation.size), iterations, order)
 
 
@@ -241,11 +270,12 @@ def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
     order = ring_order(m, order)
     points = constellation.points
     tgt = np.array(order)
-    a_diag, a_sub, y_eff = (a.T for a in _posterior_links(H, y, sigma2, tgt, np.roll(tgt, 1)))
-    # [r, b, t, s] = log density of y_eff[r] given previous symbol t and target s
-    mu = a_diag[..., None, None] * points + a_sub[..., None, None] * points[:, None]
-    tables = -np.abs(y_eff[..., None, None] - mu) ** 2 / a_diag[..., None, None]
-    return _ring_sweep(np.swapaxes(tables, 2, 3), [tables[(r + 1) % m] for r in range(m)],
+    a_diag, a_sub, y_eff = (_trials_last(a)[:, None, None]
+                            for a in _posterior_links(H, y, sigma2, tgt, np.roll(tgt, 1)))
+    # [r, t, s, b] = log density of y_eff[r] given previous symbol t and target s
+    mu = a_diag * points[:, None] + a_sub * points[:, None, None]
+    tables = -np.abs(y_eff - mu) ** 2 / a_diag
+    return _ring_sweep(np.swapaxes(tables, 1, 2), [tables[(r + 1) % m] for r in range(m)],
                        np.log(constellation.prior), iterations, order)
 
 
@@ -344,7 +374,7 @@ def bp1_batch(H, y, sigma2, constellation: Constellation, iterations: int,
     size = constellation.size
     sq = _lattice_sq_residuals(H, y, constellation)[0]  # (L, F, B)
     if singly_connected:
-        sq = sq.sum(axis=1, keepdims=True)
+        sq = _sum(sq, 1, keepdims=True)
     n_fac = sq.shape[1]
     sq /= -sigma2
     ll = sq.reshape((size,) * m + (n_fac, B))
@@ -359,6 +389,6 @@ def bp1_batch(H, y, sigma2, constellation: Constellation, iterations: int,
         # lam[j] is constant along the axes summed out for digit j, so it
         # is pulled out of the log-sum-exp and removed afterwards
         pi = _norm_log(_lattice_marginals(w.reshape((-1, n_fac, B)), size, m) - lam, axis=1)
-        log_b = _norm_log(log_prior + pi.sum(axis=2), axis=1)  # [j, s, b]
+        log_b = _norm_log(log_prior + _sum(pi, 2), axis=1)  # [j, s, b]
         lam = _norm_log(log_b[:, :, None] - pi, axis=1)
     return np.ascontiguousarray(np.exp(log_b).transpose(2, 0, 1))

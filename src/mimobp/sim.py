@@ -581,8 +581,9 @@ def render_csv(command: str, cfg: SimConfig, records) -> str:
 def render_json(command: str, cfg: SimConfig, records) -> str:
     payload = {
         "command": command,
+        # batch_size stays out for the reason given in SimConfig.echo
         "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(cfg).items() if k != "out"},
+                   for k, v in asdict(cfg).items() if k not in ("out", "batch_size")},
         "records": records if isinstance(records, dict) else [asdict(r) for r in records],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

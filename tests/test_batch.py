@@ -238,10 +238,10 @@ def test_lattice_batches_match_reference_across_snr(case):
 
 @st.composite
 def pairwise_cases(draw):
-    """Random ring permutations; QAM16 only where M <= 3."""
+    """Random ring permutations, QPSK and QAM16 at every M."""
     m = draw(st.integers(2, 5))
     n = draw(st.integers(m, 6))
-    name = draw(st.sampled_from(("QPSK", "QAM16") if m <= 3 else ("QPSK",)))
+    name = draw(st.sampled_from(("QPSK", "QAM16")))
     snr = draw(st.floats(-10.0, 40.0))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     iters = draw(st.integers(1, 4))
@@ -333,6 +333,25 @@ def test_gaussian_batches_independent_of_partitioning():
         assert np.array_equal(kernel(t), np.concatenate([kernel(h) for h in halves]))
 
 
+def test_discrete_pairwise_batches_independent_of_partitioning():
+    c = get_constellation("QAM16")
+    sigma2 = 10.0 ** (-14.0 / 10.0)
+    cfg = SimConfig(m=5, n=6, constellation="QAM16", snr_db=(14.0,), seed=4)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 2 * 37)
+    perm = (3, 0, 4, 1, 2)
+
+    def kernels(part):
+        t = batch.link_tables(H[part], y[part], sigma2)
+        return (batch.bp2_batch(t, c, 3), batch.bp3_batch(t, c, 3, order=perm),
+                batch.fb_batch(H[part], y[part], sigma2, c, 3, order=perm))
+
+    whole = kernels(slice(None))
+    # halves of 37, the second ending in a lone trial
+    parts = [kernels(part) for part in (slice(None, 37), slice(37, 73), slice(73, None))]
+    for k, beliefs in enumerate(whole):
+        assert np.array_equal(beliefs, np.concatenate([p[k] for p in parts]))
+
+
 def test_lattice_capacity_checked_before_enumeration(monkeypatch):
     def enumerate_lattice(*args):
         raise AssertionError("lattice enumerated before the capacity check")
@@ -347,3 +366,44 @@ def test_lattice_capacity_checked_before_enumeration(monkeypatch):
     for kernel in kernels:
         with pytest.raises(CapacityError, match="2\\^26"):
             kernel(H, y, 1.0, c)
+
+
+def _kernel_outputs(H, y, sigma2, c, perm):
+    """Every batch kernel's output on one batch, each as a tuple of (B, ...) arrays."""
+    t = batch.link_tables(H, y, sigma2)
+    out = {"links": tuple(getattr(t, f.name) for f in fields(LinkTables)),
+           "LMMSE": batch.lmmse_batch(H, y, sigma2),
+           "BP2": (batch.bp2_batch(t, c, 3),),
+           "BP3": (batch.bp3_batch(t, c, 3, order=perm),),
+           "FB": (batch.fb_batch(H, y, sigma2, c, 3, order=perm),),
+           "GBP2G": (batch.gbp2g_batch(t, 40),),
+           "GBP3G": (batch.gbp3g_batch(t, 40, order=perm),)}
+    # the lattice kernels only up to 2^12 lattice points: at 4x6 QAM16 one
+    # 64-trial call would hold a 0.4 GB residual table
+    if H.shape[2] * c.bits_per_symbol <= 12:
+        out.update({"ML": (batch.ml_hard_batch(H, y, sigma2, c),),
+                    "MAP": (batch.map_marginals_batch(H, y, sigma2, c),),
+                    "BP1": (batch.bp1_batch(H, y, sigma2, c, 3),),
+                    "BP1 singly": (batch.bp1_batch(H, y, sigma2, c, 3, singly_connected=True),)})
+    return out
+
+
+@pytest.mark.parametrize("m,n,name,snr", [(4, 4, "QPSK", 6.0), (4, 8, "QPSK", 3.0),
+                                          (3, 4, "QAM16", 14.0),
+                                          (4, 6, "QAM16", 14.0)])
+def test_lone_trial_matches_its_row_of_the_batch(m, n, name, snr):
+    """A trial alone in its batch (--batch-size 1, or a final one-trial batch)
+    gets the bits it gets inside a larger batch, from every kernel."""
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-snr / 10.0)
+    perm = tuple(reversed(range(m)))
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=17)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 64)
+    whole = _kernel_outputs(H, y, sigma2, c, perm)
+    differ = dict.fromkeys(whole, 0)
+    for b in range(64):
+        alone = _kernel_outputs(H[b:b + 1], y[b:b + 1], sigma2, c, perm)
+        for kernel, arrays in whole.items():
+            differ[kernel] += not all(np.array_equal(a[b:b + 1], lone)
+                                      for a, lone in zip(arrays, alone[kernel]))
+    assert not any(differ.values()), str(differ)

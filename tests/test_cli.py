@@ -136,6 +136,22 @@ class TestDeterminism:
         run_cli(*args, "--batch-size", "999", "--out", str(b))
         assert strip_elapsed(a.read_text()) == strip_elapsed(b.read_text())
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_identical_down_to_batches_of_one(self, fmt):
+        args = ("simulate", "--m", "4", "--n", "4", "--snr-db", "2", "--trials", "100",
+                "--target-errors", "150", "--detectors", "LMMSE,MAP,BP1,BP2,BP3,FB",
+                "--seed", "5", "--format", fmt)
+        outs = set()
+        for size in ("1", "37", "4096"):
+            res = run_cli(*args, "--batch-size", size)
+            assert res.returncode == 0, res.stderr
+            if fmt == "json":
+                outs.add("\n".join(line for line in res.stdout.splitlines()
+                                    if '"elapsed_s"' not in line))
+            else:
+                outs.add(strip_elapsed(res.stdout))
+        assert len(outs) == 1
+
     def test_converge_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("converge", "--channels", "3", "--seed", "23")
