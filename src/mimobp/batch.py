@@ -8,8 +8,12 @@ trailing constellation axis of length Q. Inside, every iterative kernel
 puts the trials last, so that its reductions add long contiguous rows of
 B: the lattice kernels (ML, MAP, BP1) put the L = Q^M lattice points first,
 e.g. (L, N, B), GBP2G keeps its messages as (M, M, B), BP2 as (M, M, Q, B)
-and the ring kernels (BP3, FB) as (M, Q, B). All pairwise links come from
-one posterior per trial.
+and the ring kernels (BP3, FB) as (M, Q, B).
+
+All of LMMSE, FB and the pairwise links come from one Gaussian posterior per
+trial, ``factor_posterior``. A caller that runs several of them on the same
+batch factors it once and hands the result to each through the ``posterior``
+keyword; without it each kernel factors for itself, with the same bits.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def _norm_log(lp, axis):
     return lp - np.expand_dims(_lse(lp, axis=axis), axis)
 
 
-def _posterior(H, y, sigma2):
+def factor_posterior(H, y, sigma2):
     """W and xhat, (B, M, M) and (B, M), of the posterior of x ~ CN(0, I):
     covariance sigma2 W W^H = sigma2 A^{-1} and mean xhat = A^{-1} H^H y,
     A = sigma2 I + H^H H = R^H R from a QR of [[H, y], [sqrt(sigma2) I, 0]].
@@ -76,9 +80,11 @@ def _posterior(H, y, sigma2):
     return sol[:, :, :m], sol[:, :, m]
 
 
-def lmmse_batch(H, y, sigma2):
-    """Batched linear MMSE: returns (estimates (B, M), per-component MSE)."""
-    W, xhat = _posterior(H, y, sigma2)
+def lmmse_batch(H, y, sigma2, posterior=None):
+    """Batched linear MMSE: returns (estimates (B, M), per-component MSE).
+
+    ``posterior`` is ``factor_posterior(H, y, sigma2)`` when the caller has it."""
+    W, xhat = posterior or factor_posterior(H, y, sigma2)
     return xhat, sigma2 * np.einsum("bjk,bjk->bj", W, W.conj()).real
 
 
@@ -152,7 +158,7 @@ class LinkTables:
     v_var: np.ndarray
 
 
-def _posterior_links(H, y, sigma2, j, i):
+def _posterior_links(posterior, sigma2, j, i):
     """(a_jj, a_ji, y'_j) of the ordered pairs (j | i); ``j``, ``i`` broadcast, j == i reads 0.
 
     With U = [h_j h_i] and K = H H^H + sigma2 I = K_ji + U U^H, Woodbury makes
@@ -160,7 +166,7 @@ def _posterior_links(H, y, sigma2, j, i):
     a_jj, a_ji and y'_j = h_j^H K_ji^{-1} y are the first rows of
     P_(j,i)^{-1} - I and P_(j,i)^{-1} xhat_(j,i), and no K_ji is formed.
     """
-    W, xhat = _posterior(H, y, sigma2)
+    W, xhat = posterior
     P = sigma2 * np.einsum("bjk,bik->bji", W, W.conj())
     link = j != i
     p_jj, p_ii = P[:, j, j].real, P[:, i, i].real
@@ -170,9 +176,11 @@ def _posterior_links(H, y, sigma2, j, i):
             link * (p_ii * xhat[:, j] - p_ji * xhat[:, i]) / det)
 
 
-def link_tables(H, y, sigma2) -> LinkTables:
+def link_tables(H, y, sigma2, posterior=None) -> LinkTables:
+    """Links of every ordered pair, from ``posterior`` (``factor_posterior``) if given."""
     m = H.shape[2]
-    a_diag, a_cross, y_prime = _posterior_links(H, y, sigma2, *np.indices((m, m)))
+    posterior = posterior or factor_posterior(H, y, sigma2)
+    a_diag, a_cross, y_prime = _posterior_links(posterior, sigma2, *np.indices((m, m)))
     scale = 1.0 + a_diag
     u = y_prime / scale
     v = -a_cross / scale
@@ -258,11 +266,12 @@ def bp3_batch(links: LinkTables, constellation: Constellation, iterations: int,
 
 
 def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
-             order=None) -> np.ndarray:
+             order=None, posterior=None) -> np.ndarray:
     """Beliefs of the shortened-channel forward/backward detector; (B, M, Q).
 
     The shortening taps of ring position r are the pairwise links of the
-    ring pair (order[r] | order[r-1]).
+    ring pair (order[r] | order[r-1]), read from ``posterior``
+    (``factor_posterior``) if given.
     """
     B, n_rx, m = H.shape
     if m < 2:
@@ -270,8 +279,9 @@ def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
     order = ring_order(m, order)
     points = constellation.points
     tgt = np.array(order)
+    posterior = posterior or factor_posterior(H, y, sigma2)
     a_diag, a_sub, y_eff = (_trials_last(a)[:, None, None]
-                            for a in _posterior_links(H, y, sigma2, tgt, np.roll(tgt, 1)))
+                            for a in _posterior_links(posterior, sigma2, tgt, np.roll(tgt, 1)))
     # [r, t, s, b] = log density of y_eff[r] given previous symbol t and target s
     mu = a_diag * points[:, None] + a_sub * points[:, None, None]
     tables = -np.abs(y_eff - mu) ** 2 / a_diag

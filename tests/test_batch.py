@@ -14,7 +14,7 @@ from mimobp import (BpConfig, CapacityError, ChannelInstance, GbpConfig, Topolog
                     gbp3g, get_constellation, lmmse, map_marginals, ml_hard, qpsk)
 from mimobp import batch
 from mimobp.batch import LinkTables
-from mimobp.pairwise import PairwiseGraph, PairwiseLink
+from mimobp.pairwise import PairwiseGraph, PairwiseLink, build_link
 from mimobp.sim import SimConfig, generate_batch
 
 SIGMA2 = 0.1
@@ -91,8 +91,13 @@ def _mp_links(H, y, sigma2):
 
 
 # The worst |got - ref| / (1 + |ref|) of 12500 swept trials was 1.3e-12, at
-# M = N = 6 and 39 dB; the per-pair conditional solve reached 2.7e-10.
+# M = N = 6 and 39 dB; a per-pair solve with K_ji formed explicitly reached
+# 2.7e-10.
 LINK_TOL = 5e-12
+
+
+def _link_error(got, ref):
+    return np.max(np.abs(got - ref) / (1.0 + np.abs(ref)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -100,6 +105,7 @@ LINK_TOL = 5e-12
     st.just(m), st.integers(m, 6), st.sampled_from(("QPSK", "QAM16")),
     st.floats(-10.0, 40.0), st.integers(0, 2 ** 32 - 1))))
 def test_link_tables_match_extended_precision_across_snr(case):
+    """Both the batch link tables and the oracle's per-pair links."""
     m, n, name, snr, seed = case
     sigma2 = 10.0 ** (-snr / 10.0)
     cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=seed)
@@ -107,8 +113,13 @@ def test_link_tables_match_extended_precision_across_snr(case):
     t = batch.link_tables(H, y, sigma2)
     for b in range(2):
         ref = _mp_links(H[b], y[b], sigma2)
-        got = np.stack([t.a_diag[b], t.a_cross[b], t.y_prime[b]])
-        assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < LINK_TOL
+        assert _link_error(np.stack([t.a_diag[b], t.a_cross[b], t.y_prime[b]]), ref) < LINK_TOL
+        ch = ChannelInstance(H=H[b], sigma2=sigma2)
+        for j in range(m):
+            for i in set(range(m)) - {j}:
+                link = build_link(ch, y[b], j, i)
+                assert _link_error(np.array([link.a_jj, link.a_ji, link.y_prime]),
+                                   ref[:, j, i]) < LINK_TOL, (j, i)
 
 
 @pytest.mark.parametrize("iters", [1, 3])
@@ -254,6 +265,9 @@ def pairwise_cases(draw):
 # high SNR: a link solve that subtracts h_j h_j^H and h_i h_i^H from the
 # full covariance missed the reference by 4.0e-12 on trial 0 of this case
 @example((3, 3, "QAM16", 27.7, 347247696, 1, (0, 1, 2)))
+# an oracle that formed K_ji and solved it by Cholesky missed the batch's BP2
+# beliefs by 1.5e-11 on trial 2 of this case
+@example((3, 4, "QAM16", 34.420987769493195, 3825313570, 1, (0, 2, 1)))
 def test_pairwise_batches_match_reference_across_snr(case):
     m, n, name, snr, seed, iters, perm = case
     c = get_constellation(name)
@@ -350,6 +364,28 @@ def test_discrete_pairwise_batches_independent_of_partitioning():
     parts = [kernels(part) for part in (slice(None, 37), slice(37, 73), slice(73, None))]
     for k, beliefs in enumerate(whole):
         assert np.array_equal(beliefs, np.concatenate([p[k] for p in parts]))
+
+
+@pytest.mark.parametrize("m,n,name", [(4, 4, "QPSK"), (8, 8, "QPSK"), (4, 6, "QAM16"),
+                                      (1, 1, "QPSK")])
+def test_shared_posterior_gives_the_same_bits(m, n, name):
+    """LMMSE, FB and the link tables handed one factorisation equal their
+    three-argument calls, which factor for themselves."""
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-12.0 / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(12.0,), seed=11)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 24)
+    post = batch.factor_posterior(H, y, sigma2)
+    for own, shared in zip(batch.lmmse_batch(H, y, sigma2),
+                           batch.lmmse_batch(H, y, sigma2, posterior=post)):
+        assert np.array_equal(own, shared)
+    own, shared = batch.link_tables(H, y, sigma2), batch.link_tables(H, y, sigma2, posterior=post)
+    for f in fields(LinkTables):
+        assert np.array_equal(getattr(own, f.name), getattr(shared, f.name)), f.name
+    if m >= 2:
+        for perm in (None, tuple(reversed(range(m)))):
+            assert np.array_equal(batch.fb_batch(H, y, sigma2, c, 3, order=perm),
+                                  batch.fb_batch(H, y, sigma2, c, 3, order=perm, posterior=post))
 
 
 def test_lattice_capacity_checked_before_enumeration(monkeypatch):

@@ -118,6 +118,17 @@ class TestExitCodes:
         assert cli.main(["simulate", "--snr-db", "8", "--trials", "1",
                          "--detectors", "LMMSE"]) == 4
 
+    def test_memory_error_exits_three(self, monkeypatch, capsys):
+        from mimobp import cli
+
+        def boom(cfg):
+            raise MemoryError("synthetic failure")
+
+        monkeypatch.setattr(cli.sim, "run_simulate", boom)
+        assert cli.main(["simulate", "--snr-db", "8", "--trials", "1",
+                         "--detectors", "ML"]) == 3
+        assert "--batch-size" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_rerun_identical_sans_elapsed(self, tmp_path):

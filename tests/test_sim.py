@@ -187,6 +187,23 @@ class TestRunSimulate:
             assert 0.0 <= rec.ber <= 1.0
             assert rec.ber == rec.bit_errors / (rec.trials * 4 * 2)
 
+    @pytest.mark.parametrize("detectors,factored", [
+        (("LMMSE", "FB", "BP2", "GBP3G"), [32, 32, 6]), (("ML", "MAP", "BP1"), [])])
+    def test_one_posterior_per_generated_batch(self, monkeypatch, detectors, factored):
+        """Trial counts of every factorisation: one per batch of 32, 32 and 6."""
+        calls = []
+        factor = sim.batch.factor_posterior
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return factor(*args)
+
+        monkeypatch.setattr(sim.batch, "factor_posterior", counted)
+        cfg = SimConfig(snr_db=(8.0,), detectors=detectors, trials=70, batch_size=32,
+                        gbp_sweeps=5).validate()
+        run_simulate(cfg)
+        assert calls == factored
+
 
 class TestIterstudy:
     def test_rejects_other_detectors(self):
