@@ -14,11 +14,21 @@ All of LMMSE, FB and the pairwise links come from one Gaussian posterior per
 trial, ``factor_posterior``. A caller that runs several of them on the same
 batch factors it once and hands the result to each through the ``posterior``
 keyword; without it each kernel factors for itself, with the same bits.
+
+A trial's bits must not depend on how many trials share its batch, and
+complex products need care for that. numpy's complex multiply fuses one of
+its products into a multiply-add, so ``a * b`` and ``b * a`` can differ in
+the last bit. And once a temporary reaches 256 KiB, numpy evaluates
+``named * temporary`` in place in the temporary, with the operands swapped.
+So in the Gaussian kernels a complex product whose right operand is a
+temporary is written ``np.multiply(a, b)``, whose order numpy keeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -297,6 +307,13 @@ def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
 # recursion mixes messages nonlinearly and still sweeps.
 
 
+def _times_rolled(a, b, shift):
+    """a * np.roll(b, shift, axis=1), computed in the rolled copy with ``a``
+    kept as the left operand whatever the size (see the module docstring)."""
+    rolled = np.roll(b, shift, axis=1)
+    return np.multiply(a, rolled, out=rolled)
+
+
 def gbp3g_batch(links: LinkTables, sweeps: int, order=None) -> np.ndarray:
     """Belief means of the ring Gaussian recursion after ``sweeps`` hops.
 
@@ -323,13 +340,13 @@ def gbp3g_batch(links: LinkTables, sweeps: int, order=None) -> np.ndarray:
     hops, step = 0, 1
     while sweeps:
         if sweeps & 1:
-            acc_off = acc_off + acc_slope * np.roll(off, hops, axis=1)
-            acc_slope = acc_slope * np.roll(slope, hops, axis=1)
+            acc_off = acc_off + _times_rolled(acc_slope, off, hops)
+            acc_slope = _times_rolled(acc_slope, slope, hops)
             hops += step
         sweeps >>= 1
         if sweeps:
-            off = off + slope * np.roll(off, step, axis=1)
-            slope = slope * np.roll(slope, step, axis=1)
+            off = off + _times_rolled(slope, off, step)
+            slope = _times_rolled(slope, slope, step)
             step *= 2
     mu_f, mu_b = acc_off[0], acc_off[1, ::-1]
     var = (acc_off[2:] + acc_slope[2:]).real
@@ -338,6 +355,57 @@ def gbp3g_batch(links: LinkTables, sweeps: int, order=None) -> np.ndarray:
     out = np.empty((B, m), dtype=complex)
     out[:, tgt] = bel.T
     return out
+
+
+# gbp2g_batch looks for exact shortcuts every _PERIOD sweeps; a trial whose
+# state repeats after _PERIOD sweeps cycles with a period that divides it.
+_PERIOD = 8
+
+
+def _same_bits(a, b):
+    """Per trial (the last axis), whether ``a`` and ``b`` agree bit for bit;
+    unlike ==, this tells -0.0 from 0.0 and matches a NaN with itself."""
+    differ = a.view(np.uint64) != b.view(np.uint64)
+    # first per word of the last axis, over long rows; then per trial
+    differ = differ.reshape(math.prod(a.shape[:-1]), -1).any(axis=0)
+    return ~differ.reshape(a.shape[-1], a.itemsize // 8).any(axis=1)
+
+
+def _pick(mask, a):
+    """The trials (last axis) of ``a`` where ``mask`` holds, C-contiguous."""
+    return a.compress(mask, axis=-1)
+
+
+def _region(flat, shape, at_back=False):
+    """A C-contiguous view of ``shape`` at the start, or the end, of ``flat``."""
+    k = math.prod(shape)
+    return (flat[flat.size - k:] if at_back else flat[:k]).reshape(shape)
+
+
+def _repack(flat, front, *back):
+    """Lay out a flat per-trial buffer anew: the (M, M, n) array ``front`` at
+    its start, and the arrays ``back``, joined on the trial axis, at its end."""
+    flat[:front.size] = front.reshape(-1)
+    if back:
+        shape = front.shape[:-1] + (sum(a.shape[-1] for a in back),)
+        np.concatenate(back, axis=-1, out=_region(flat, shape, at_back=True))
+
+
+def _gbp2g_means(wmean, inv, u, v, wsum, lam):
+    """The mean half of a GBP2G sweep, in place: from the weighted means
+    wmean = mu * prec, (M, M, n), to the next means u + v * lam_mean, given
+    inv = 1/lam_prec. ``wsum`` (M, n) and ``lam`` (M, M, n) are work space."""
+    np.add.reduce(wmean, axis=0, out=wsum)
+    # [i, j]: everything into i except from j
+    np.subtract(wsum[:, None], wmean.transpose(1, 0, 2), out=lam)
+    np.multiply(lam, inv, out=lam)
+    np.multiply(v, lam, out=wmean)
+    np.add(u, wmean, out=wmean)
+
+
+def _gbp2g_beliefs(mu, prec):
+    """(M, n) belief means [j, b] of (M, M, n) messages with precisions ``prec``."""
+    return (mu * prec).sum(axis=0) * (1.0 / prec.sum(axis=0))
 
 
 def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
@@ -349,28 +417,110 @@ def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
     which takes the place of an off-diagonal mask. A complex array divided
     by a real one is taken as both parts times the reciprocal, which is what
     numpy's complex division computes for a zero imaginary part.
+
+    A sweep of a trial is a fixed function of that trial's own state, and
+    its variance half never reads the means (Weiss and Freeman, Neural
+    Computation 2001). Two shortcuts follow that leave every output bit as
+    the plain sweep makes it (but for the sign of a NaN, which numpy's loops
+    vary with the array length in the plain sweep too):
+
+    - **Freeze.** Variances equal to the previous sweep's bit for bit stay
+      so for good, and so do prec = 1/var and 1/lam_prec. Such a trial moves
+      to a frozen group that keeps both and runs only the mean half.
+    - **Retire.** A state (means and variances) equal to the one ``_PERIOD``
+      sweeps earlier recurs every ``_PERIOD`` sweeps. Checked only after t
+      sweeps with ``sweeps - t`` a multiple of ``_PERIOD``, it is already
+      the final state, so the trial's beliefs are taken and it leaves.
+
+    Both are checked every ``_PERIOD`` sweeps, and a group is compacted only
+    once an eighth of it qualifies, which keeps the copies rare. Every
+    per-trial array is a view of one flat buffer for all B trials, allocated
+    once: the moving trials' (M, M, n) array fills the front of the buffer
+    and the frozen trials' the back. The frozen group keeps 1/var in the
+    buffer of u_var and 1/lam_prec in that of v_var, which it no longer reads.
     """
     B, m, _ = links.a_diag.shape
     if m <= 2:
         # one node has no neighbours and two form a ring; both divide 0/0 below
         return gbp3g_batch(links, sweeps)
-    u, v, uv, vv = (np.ascontiguousarray(a.transpose(2, 1, 0))
+    size = m * m * B
+    u, v, uv, vv = (np.ascontiguousarray(a.transpose(2, 1, 0)).reshape(-1)
                     for a in (links.u, links.v, links.u_var, links.v_var))
     self_edge = (np.arange(m), np.arange(m))
-    uv[self_edge] = np.inf
-    mu = np.zeros((m, m, B), dtype=complex)
-    var = np.ones((m, m, B))
-    var[self_edge] = np.inf
-    for _ in range(sweeps):
-        prec = 1.0 / var
-        wmean = mu * prec
-        # [i, j]: everything into i except from j
-        lam_prec = prec.sum(axis=0)[:, None] - prec.transpose(1, 0, 2)
-        lam_mean = (wmean.sum(axis=0)[:, None] - wmean.transpose(1, 0, 2)) * (1.0 / lam_prec)
-        var = uv + vv / lam_prec
-        mu = u + v * lam_mean
-    prec = 1.0 / var
-    return ((mu * prec).sum(axis=0) * (1.0 / prec.sum(axis=0))).T
+    uv.reshape(m, m, B)[self_edge] = np.inf
+    mu = np.zeros(size, dtype=complex)
+    var = np.ones(size)
+    var.reshape(m, m, B)[self_edge] = np.inf
+    lam, mu_snap = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    prec, lam_prec, var_snap = np.empty(size), np.empty(size), np.empty(size)
+    wsum, psum = np.empty(m * B, dtype=complex), np.empty(m * B)
+    ids, f_ids = np.arange(B), np.arange(0)  # the trials of the moving and the frozen group
+    beliefs = np.empty((m, B), dtype=complex)
+
+    def regroup():
+        """Views of the moving group, at the front of every buffer, and of
+        the frozen group, at the back; work space starts at the front."""
+        n, nf = ids.size, f_ids.size
+        mov = SimpleNamespace(n=n, psum=_region(psum, (m, n)), wsum=_region(wsum, (m, n)), **{
+            key: _region(a, (m, m, n)) for key, a in dict(
+                mu=mu, var=var, u=u, v=v, uv=uv, vv=vv, prec=prec, lam_prec=lam_prec, lam=lam,
+                mu_snap=mu_snap, var_snap=var_snap).items()})
+        frz = SimpleNamespace(n=nf, wsum=_region(wsum, (m, nf)), lam=_region(lam, (m, m, nf)), **{
+            key: _region(a, (m, m, nf), at_back=True) for key, a in dict(
+                mu=mu, u=u, v=v, prec=uv, inv=vv, mu_snap=mu_snap).items()})
+        return mov, frz
+
+    mov, frz = regroup()
+    snapped = False
+    for left in reversed(range(sweeps)):  # the sweeps still to run after this one
+        if mov.n:
+            np.divide(1.0, mov.var, out=mov.prec)
+            np.add.reduce(mov.prec, axis=0, out=mov.psum)
+            np.subtract(mov.psum[:, None], mov.prec.transpose(1, 0, 2), out=mov.lam_prec)
+            np.multiply(mov.mu, mov.prec, out=mov.mu)
+            np.divide(1.0, mov.lam_prec, out=mov.prec)  # 1/lam_prec from here on
+            _gbp2g_means(mov.mu, mov.prec, mov.u, mov.v, mov.wsum, mov.lam)
+            np.divide(mov.vv, mov.lam_prec, out=mov.lam_prec)
+            np.add(mov.uv, mov.lam_prec, out=mov.lam_prec)
+            # swap: var holds the new variances, lam_prec the previous ones
+            var, lam_prec, mov.var, mov.lam_prec = lam_prec, var, mov.lam_prec, mov.var
+        if frz.n:
+            np.multiply(frz.mu, frz.prec, out=frz.mu)
+            _gbp2g_means(frz.mu, frz.inv, frz.u, frz.v, frz.wsum, frz.lam)
+        if not left or left % _PERIOD:
+            continue
+        freeze_m = _same_bits(mov.var, mov.lam_prec)
+        retire_m, retire_f = np.zeros(mov.n, bool), np.zeros(frz.n, bool)
+        if snapped:
+            retire_m = _same_bits(mov.mu, mov.mu_snap) & _same_bits(mov.var, mov.var_snap)
+            retire_f = _same_bits(frz.mu, frz.mu_snap)
+        freeze_m &= ~retire_m
+        # a group gives up trials only once an eighth of it qualifies
+        if 8 * np.count_nonzero(retire_m | freeze_m) < mov.n:
+            retire_m[:] = freeze_m[:] = False
+        if 8 * np.count_nonzero(retire_f) < frz.n:
+            retire_f[:] = False
+        if retire_m.any() or freeze_m.any() or retire_f.any():
+            beliefs[:, ids[retire_m]] = _gbp2g_beliefs(_pick(retire_m, mov.mu),
+                                                       1.0 / _pick(retire_m, mov.var))
+            beliefs[:, f_ids[retire_f]] = _gbp2g_beliefs(_pick(retire_f, frz.mu),
+                                                         _pick(retire_f, frz.prec))
+            keep_m, keep_f = ~(retire_m | freeze_m), ~retire_f
+            for flat, moving, frozen in ((mu, mov.mu, frz.mu), (u, mov.u, frz.u), (v, mov.v, frz.v)):
+                _repack(flat, _pick(keep_m, moving), _pick(keep_f, frozen), _pick(freeze_m, moving))
+            # a frozen trial keeps 1/var where u_var was and 1/lam_prec where v_var was
+            _repack(uv, _pick(keep_m, mov.uv), _pick(keep_f, frz.prec),
+                    1.0 / _pick(freeze_m, mov.var))
+            _repack(vv, _pick(keep_m, mov.vv), _pick(keep_f, frz.inv), _pick(freeze_m, mov.prec))
+            _repack(var, _pick(keep_m, mov.var))
+            ids, f_ids = ids[keep_m], np.concatenate([f_ids[keep_f], ids[freeze_m]])
+            mov, frz = regroup()
+        for snap, now in ((mov.mu_snap, mov.mu), (mov.var_snap, mov.var), (frz.mu_snap, frz.mu)):
+            np.copyto(snap, now)
+        snapped = True
+    beliefs[:, ids] = _gbp2g_beliefs(mov.mu, 1.0 / mov.var)
+    beliefs[:, f_ids] = _gbp2g_beliefs(frz.mu, frz.prec)
+    return beliefs.T
 
 
 # ---------------------------------------------------------------------------
