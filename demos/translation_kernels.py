@@ -9,12 +9,13 @@ work, and shows how a neighbour's message gets translated into evidence.
 import numpy as np
 
 import mimobp as mb
-from mimobp.linalg import hermitian_solve
+from mimobp.pairwise import conditional_filter
 
 sigma2 = 0.1
 constellation = mb.qpsk()
 channel = mb.ChannelInstance(H=mb.draw_channel(4, 4, 3), sigma2=sigma2)
 rec = mb.transmit(channel, constellation, 4)
+H = channel.H
 
 j, i = 2, 0
 link = mb.build_link(channel, rec.y, j, i)
@@ -26,19 +27,25 @@ print(f"  conditioned noise power = {link.sigma2_cond:.4f}")
 print()
 
 # the identities the recursion coefficients rest on ---------------------------
-K = mb.partial_covariance(channel.H, sigma2, (j, i))
-quad = np.vdot(link.c, K @ link.c).real
+# K_ji: noise plus every stream other than j and i as Gaussian interference
+others = [k for k in range(channel.n_tx) if k not in (j, i)]
+K = sigma2 * np.eye(channel.n_rx) + H[:, others] @ H[:, others].conj().T
+c = conditional_filter(H, sigma2, j, i)
+print(f"filter from the QR factor vs a direct solve of K_ji: "
+      f"{np.max(np.abs(c - np.linalg.solve(K, H[:, j]))):.1e}")
+quad = np.vdot(c, K @ c).real
 print(f"noise power as a quadratic form: {quad:.12f}  (equals a_jj: "
       f"{abs(quad - link.a_jj):.1e})")
 
-K_i = mb.partial_covariance(channel.H, sigma2, (i,))
-row = hermitian_solve(K_i, channel.H[:, j])
+# K_i leaves stream j in the interference too
+K_i = K + np.outer(H[:, j], H[:, j].conj())
+row = np.linalg.solve(K_i, H[:, j])
 print("mean-recursion offset, two routes:")
 print(f"  y' / (1 + s2)                 = {link.u:.10f}")
 print(f"  smaller-exclusion filter on y = {np.vdot(row, rec.y):.10f}")
 print("mean-recursion slope, two routes:")
 print(f"  -a_ji / (1 + s2)              = {link.v:.10f}")
-print(f"  smaller-exclusion cross gain  = {-np.vdot(row, channel.H[:, i]):.10f}")
+print(f"  smaller-exclusion cross gain  = {-np.vdot(row, H[:, i]):.10f}")
 print()
 
 # translating a message --------------------------------------------------------

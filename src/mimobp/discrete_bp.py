@@ -9,9 +9,8 @@ Three schemes share the message plumbing here:
   directions use separately optimised links.
 
 Messages and beliefs are probability vectors over the constellation and are
-renormalised after every update. Arithmetic runs in the log domain by
-default so near-noiseless instances do not underflow; the linear-domain path
-exists for cross-checking at moderate SNR.
+renormalised after every update. Arithmetic runs in the log domain so
+near-noiseless instances do not underflow.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class BpConfig:
     """Knobs shared by the iterative detectors."""
 
     iterations: int = 4
-    log_domain: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -66,47 +64,21 @@ def _norm_log(lp):
     return lp - _lse(lp, axis=-1)[..., None]
 
 
-def _norm_lin(p):
-    return p / p.sum(axis=-1, keepdims=True)
-
-
 def _delta(beliefs, prev):
     return float(np.max(np.sum(np.abs(beliefs - prev), axis=1)))
 
 
-class _Domain:
-    """Message arithmetic in either the log or the linear domain."""
+def _uniform(shape, size):
+    return np.full(shape, -np.log(size))
 
-    def __init__(self, log: bool):
-        self.log = log
 
-    def from_log(self, table):
-        return table if self.log else np.exp(table)
+def _translate(table, msg):
+    """Marginalise a log kernel table [..., s, t] against a log message over t."""
+    return _lse(table + msg[..., None, :], axis=-1)
 
-    def uniform(self, shape, size):
-        if self.log:
-            return np.full(shape, -np.log(size))
-        return np.full(shape, 1.0 / size)
 
-    def normalize(self, msg):
-        return _norm_log(msg) if self.log else _norm_lin(msg)
-
-    def translate(self, table, msg):
-        """Marginalise a kernel table [..., s, t] against a message over t."""
-        if self.log:
-            return _lse(table + msg[..., None, :], axis=-1)
-        return np.einsum("...st,...t->...s", table, msg)
-
-    def combine(self, *msgs):
-        if self.log:
-            return sum(msgs)
-        out = msgs[0].copy()
-        for m in msgs[1:]:
-            out = out * m
-        return out
-
-    def to_prob(self, msg):
-        return np.exp(_norm_log(msg)) if self.log else _norm_lin(msg)
+def _to_prob(msg):
+    return np.exp(_norm_log(msg))
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +176,23 @@ def bp2_fully_connected(graph: PairwiseGraph, constellation: Constellation,
     if m == 2:
         return _ring_pass(graph, constellation, config)
 
-    dom = _Domain(config.log_domain)
     points = constellation.points
     table = np.zeros((m, m, size, size))
     for (j, i), link in graph.links.items():
         table[j, i] = translate_log_table(link, points)
-    table = dom.from_log(table)
 
-    pi = dom.uniform((m, m, size), size)  # [i, j] holds the i -> j message
+    pi = _uniform((m, m, size), size)  # [i, j] holds the i -> j message
     beliefs = np.tile(constellation.prior, (m, 1))
     deltas = []
     off_diag = ~np.eye(m, dtype=bool)
-    neutral = 0.0 if config.log_domain else 1.0
 
     for _ in range(config.iterations):
-        incoming = np.where(off_diag[:, :, None], pi, neutral)
-        col = incoming.sum(axis=0) if config.log_domain else incoming.prod(axis=0)
+        col = np.where(off_diag[:, :, None], pi, 0.0).sum(axis=0)
         # extrinsic toward j: everything into i except what j itself sent
-        if config.log_domain:
-            lam = dom.normalize(col[:, None, :] - np.swapaxes(pi, 0, 1))
-        else:
-            lam = dom.normalize(col[:, None, :] / np.swapaxes(pi, 0, 1))
-        cand = dom.normalize(dom.translate(np.swapaxes(table, 0, 1), lam))
+        lam = _norm_log(col[:, None, :] - np.swapaxes(pi, 0, 1))
+        cand = _norm_log(_translate(np.swapaxes(table, 0, 1), lam))
         pi = np.where(off_diag[:, :, None], cand, pi)
-        incoming = np.where(off_diag[:, :, None], pi, neutral)
-        summed = incoming.sum(axis=0) if config.log_domain else incoming.prod(axis=0)
-        new_beliefs = dom.to_prob(summed)
+        new_beliefs = _to_prob(np.where(off_diag[:, :, None], pi, 0.0).sum(axis=0))
         deltas.append(_delta(new_beliefs, beliefs))
         beliefs = new_beliefs
     return BeliefState(beliefs=beliefs, iterations=config.iterations,
@@ -257,29 +220,28 @@ def _ring_pass(graph: PairwiseGraph, constellation: Constellation,
                config: BpConfig) -> BeliefState:
     m, size = graph.n_nodes, constellation.size
     order = graph.order
-    dom = _Domain(config.log_domain)
     points = constellation.points
     # forward link at position r translates order[r]'s message toward order[r+1]
-    lt_f = [dom.from_log(translate_log_table(graph.link(order[(r + 1) % m], order[r]), points))
+    lt_f = [translate_log_table(graph.link(order[(r + 1) % m], order[r]), points)
             for r in range(m)]
-    lt_b = [dom.from_log(translate_log_table(graph.link(order[(r - 1) % m], order[r]), points))
+    lt_b = [translate_log_table(graph.link(order[(r - 1) % m], order[r]), points)
             for r in range(m)]
 
-    fwd = dom.uniform((m, size), size)  # fwd[r]: forward message into position r
-    bwd = dom.uniform((m, size), size)
+    fwd = _uniform((m, size), size)  # fwd[r]: forward message into position r
+    bwd = _uniform((m, size), size)
     beliefs = np.tile(constellation.prior, (m, 1))
     deltas = []
 
     for _ in range(config.iterations):
         for r in range(m):
             prev = (r - 1) % m
-            fwd[r] = dom.normalize(dom.translate(lt_f[prev], fwd[prev]))
+            fwd[r] = _norm_log(_translate(lt_f[prev], fwd[prev]))
         for r in reversed(range(m)):
             nxt = (r + 1) % m
-            bwd[r] = dom.normalize(dom.translate(lt_b[nxt], bwd[nxt]))
+            bwd[r] = _norm_log(_translate(lt_b[nxt], bwd[nxt]))
         new_beliefs = np.empty((m, size))
         for r in range(m):
-            new_beliefs[order[r]] = dom.to_prob(dom.combine(fwd[r], bwd[r]))
+            new_beliefs[order[r]] = _to_prob(fwd[r] + bwd[r])
         deltas.append(_delta(new_beliefs, beliefs))
         beliefs = new_beliefs
     return BeliefState(beliefs=beliefs, iterations=config.iterations,

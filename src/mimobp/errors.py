@@ -17,9 +17,5 @@ class NumericalError(MimobpError):
     """A numerical procedure left its domain of validity."""
 
 
-class SingularMatrixError(NumericalError):
-    """Linear system too ill-conditioned to solve reliably."""
-
-
 class ContractionError(NumericalError):
     """Ring contraction factor not strictly inside the unit disc."""

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .channel import ChannelInstance
 from .linalg import ComplexGaussian1D
@@ -65,7 +64,7 @@ def conditional_filter(H, sigma2, j: int, i: int) -> np.ndarray:
     """Conditional MMSE filter c = K_{ji}^{-1} h_j for target j given known i.
 
     K_{ji} = sigma2 I + H_{-ji} H_{-ji}^H = R^H R comes from a QR of
-    [H_{-ji}^H; sqrt(sigma2) I], and c from two triangular solves with R.
+    [H_{-ji}^H; sqrt(sigma2) I], and c from two solves, with R^H and then R.
     R has the square root of K_{ji}'s condition number, so K_{ji} is never
     formed.
     """
@@ -74,8 +73,7 @@ def conditional_filter(H, sigma2, j: int, i: int) -> np.ndarray:
     others = [k for k in range(n_tx) if k not in (j, i)]
     S = np.concatenate([H[:, others].conj().T, np.sqrt(sigma2) * np.eye(n_rx)])
     R = np.linalg.qr(S, mode="r")
-    z = solve_triangular(R, H[:, j], trans="C", check_finite=False)
-    return solve_triangular(R, z, check_finite=False)
+    return np.linalg.solve(R, np.linalg.solve(R.conj().T, H[:, j]))
 
 
 def build_link(channel: ChannelInstance, y, j: int, i: int) -> PairwiseLink:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelInstance, Constellation
-from .discrete_bp import BeliefState, BpConfig, _delta, _Domain
+from .discrete_bp import BeliefState, BpConfig, _delta, _norm_log, _to_prob, _translate, _uniform
 from .pairwise import conditional_filter, ring_order
 
 
@@ -66,11 +66,6 @@ def bidiagonalize(channel: ChannelInstance, permutation=None) -> BiDiagonalized:
                           sigma2_eff=a_diag.copy(), leakage=leakage, order=order)
 
 
-def effective_observation(bd: BiDiagonalized, y) -> np.ndarray:
-    """Filter outputs y'_r = c_r^H y, in ring order."""
-    return bd.C.conj().T @ np.asarray(y)
-
-
 def forward_backward_detect(bd: BiDiagonalized, constellation: Constellation, y,
                             config: BpConfig) -> BeliefState:
     """Tail-biting forward/backward recursion on the shortened channel.
@@ -80,9 +75,8 @@ def forward_backward_detect(bd: BiDiagonalized, constellation: Constellation, y,
     extrinsic messages.
     """
     m, size = bd.a_diag.shape[0], constellation.size
-    y_eff = effective_observation(bd, y)
+    y_eff = bd.C.conj().T @ np.asarray(y)  # filter outputs y'_r = c_r^H y, in ring order
     points = constellation.points
-    dom = _Domain(config.log_domain)
 
     def factor_table(r):
         # [t, s] = log density of y'_r given previous symbol t and target s
@@ -90,12 +84,11 @@ def forward_backward_detect(bd: BiDiagonalized, constellation: Constellation, y,
         return (-np.abs(y_eff[r] - mu) ** 2 / bd.sigma2_eff[r]
                 - np.log(np.pi * bd.sigma2_eff[r]))
 
-    tables = [dom.from_log(factor_table(r)) for r in range(m)]
-    log_prior = np.log(constellation.prior)
-    prior = dom.from_log(log_prior)
+    tables = [factor_table(r) for r in range(m)]
+    prior = np.log(constellation.prior)
 
-    alpha = dom.uniform((m, size), size)  # forward message into position r
-    beta = dom.uniform((m, size), size)
+    alpha = _uniform((m, size), size)  # forward message into position r
+    beta = _uniform((m, size), size)
     beliefs = np.tile(constellation.prior, (m, 1))
     deltas = []
 
@@ -103,15 +96,13 @@ def forward_backward_detect(bd: BiDiagonalized, constellation: Constellation, y,
         for r in range(m):
             prev = (r - 1) % m
             # factor r marginalises the previous symbol: sum_t f_r(t, s) p(t) alpha_prev(t)
-            inc = dom.combine(prior, alpha[prev])
-            alpha[r] = dom.normalize(dom.translate(np.swapaxes(tables[r], 0, 1), inc))
+            alpha[r] = _norm_log(_translate(np.swapaxes(tables[r], 0, 1), prior + alpha[prev]))
         for r in reversed(range(m)):
             nxt = (r + 1) % m
-            inc = dom.combine(prior, beta[nxt])
-            beta[r] = dom.normalize(dom.translate(tables[nxt], inc))
+            beta[r] = _norm_log(_translate(tables[nxt], prior + beta[nxt]))
         new_beliefs = np.empty((m, size))
         for r in range(m):
-            new_beliefs[bd.order[r]] = dom.to_prob(dom.combine(prior, alpha[r], beta[r]))
+            new_beliefs[bd.order[r]] = _to_prob(prior + alpha[r] + beta[r])
         deltas.append(_delta(new_beliefs, beliefs))
         beliefs = new_beliefs
     return BeliefState(beliefs=beliefs, iterations=config.iterations,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -38,6 +39,20 @@ LATTICE_DETECTORS = ("MAP", "ML", "BP1")
 LINKED_DETECTORS = ("BP2", "BP3", "GBP2G", "GBP3G")  # read batch.link_tables
 POSTERIOR_DETECTORS = ("LMMSE", "FB") + LINKED_DETECTORS  # read batch.factor_posterior
 DEFAULT_ITERATIONS = {"BP1": 4, "BP2": 3, "BP3": 4, "FB": 4}
+
+
+def noise_variance(snr_db) -> float:
+    """sigma2 = 10^(-snr_db / 10), the noise power per complex dimension at
+    unit symbol energy. ConfigError unless snr_db is finite and sigma2 is a
+    finite float > 0."""
+    try:
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not (math.isfinite(snr_db) and math.isfinite(sigma2) and sigma2 > 0):
+        raise ConfigError(f"snr_db {snr_db!r} gives no finite noise power > 0 "
+                          f"(sigma2 = 10^(-snr_db/10) = {sigma2!r})")
+    return sigma2
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,8 @@ class SimConfig:
             raise ConfigError(f"need N >= M >= 1, got M={self.m}, N={self.n}")
         if not self.snr_db:
             raise ConfigError("snr_db list must not be empty")
+        for snr in self.snr_db:
+            noise_variance(snr)
         if not self.detectors:
             raise ConfigError("detector list must not be empty")
         for d in self.detectors:
@@ -332,7 +349,7 @@ def _run_arms(cfg: SimConfig, arms):
     factored = any(d in POSTERIOR_DETECTORS for d, _ in arms)
     records = []
     for snr_idx, snr in enumerate(cfg.snr_db):
-        sigma2 = 10.0 ** (-snr / 10.0)
+        sigma2 = noise_variance(snr)
         errors = [[] for _ in arms]
         elapsed = [0.0] * len(arms)
         hard_cap = cfg.max_trials or (cfg.trials if cfg.target_errors is None
@@ -409,7 +426,7 @@ def run_converge(cfg: SimConfig):
     gcfg = GbpConfig(max_sweeps=cfg.sweeps, tol=1e-13)
     for cid in range(cfg.channels):
         for snr_idx, snr in enumerate(cfg.snr_db):
-            sigma2 = 10.0 ** (-snr / 10.0)
+            sigma2 = noise_variance(snr)
             # one independent stream per (channel id, SNR point), mirroring
             # the BER sweep's trial streams
             H, idx, y = generate_batch(cfg, constellation, sigma2, snr_idx, cid, 1)
@@ -436,7 +453,7 @@ def run_detect(cfg: SimConfig):
     """Single-instance diagnostic report, built on the reference detectors."""
     constellation = get_constellation(cfg.constellation)
     snr = cfg.snr_db[0]
-    sigma2 = 10.0 ** (-snr / 10.0)
+    sigma2 = noise_variance(snr)
     H, idx, y = generate_batch(cfg, constellation, sigma2, 0, 0, 1)
     channel = ChannelInstance(H=H[0], sigma2=sigma2)
     y0 = y[0]

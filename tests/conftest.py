@@ -36,3 +36,14 @@ def received(channel, constellation, seed):
     noise = np.sqrt(channel.sigma2 / 2) * (
         g.standard_normal(channel.n_rx) + 1j * g.standard_normal(channel.n_rx))
     return idx, x, channel.H @ x + noise
+
+
+def interference_covariance(H, sigma2, excluded):
+    """sigma2 I + sum of h_k h_k^H over the columns k not in ``excluded``:
+    the covariance a conditional filter treats as noise, formed explicitly
+    as an independent reference for the QR-based filters."""
+    n_rx, n_tx = H.shape
+    if not set(excluded) <= set(range(n_tx)):
+        raise ValueError(f"excluded indices {sorted(excluded)} outside 0..{n_tx - 1}")
+    keep = [k for k in range(n_tx) if k not in excluded]
+    return sigma2 * np.eye(n_rx) + H[:, keep] @ H[:, keep].conj().T

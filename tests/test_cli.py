@@ -92,6 +92,22 @@ class TestExitCodes:
         assert "below 2^64" in res.stderr and res.stdout == ""
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--snr-db=-4000"),
+        ("converge", "--snr-db", "4000"),
+        ("detect", "--snr-db", "1e308"),
+        ("simulate", "--snr-db", "nan", "--detectors", "LMMSE"),
+        ("simulate", "--snr-db", "inf"),
+        ("simulate", "--snr-db=-inf"),
+        ("simulate", "--snr-db", "10,nan"),
+        ("detect", "--snr-db", "nan"),
+    ])
+    def test_snr_without_a_finite_positive_noise_power_exits_two(self, args):
+        res = run_cli(*args, "--trials", "5", timeout=60)
+        assert res.returncode == 2
+        assert "config error" in res.stderr and "snr_db" in res.stderr
+        assert res.stdout == "" and "Traceback" not in res.stderr
+
     def test_missing_config_file(self):
         res = run_cli("simulate", "--config", "/nonexistent/path.cfg")
         assert res.returncode == 2

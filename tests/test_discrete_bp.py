@@ -88,12 +88,6 @@ class TestBp2:
             b3 = bp3_ring(ring, qpsk_const, BpConfig(iterations=iters))
             assert np.array_equal(b2.beliefs, b3.beliefs)
 
-    def test_log_and_linear_domains_agree(self, qpsk_const):
-        _, _, full, _ = graphs(13, sigma2=0.5)
-        a = bp2_fully_connected(full, qpsk_const, BpConfig(iterations=3))
-        b = bp2_fully_connected(full, qpsk_const, BpConfig(iterations=3, log_domain=False))
-        assert np.max(np.abs(a.beliefs - b.beliefs)) < 1e-9
-
     def test_rejects_non_uniform_prior(self):
         base = qpsk()
         # unit-modulus points keep average energy 1 under any prior

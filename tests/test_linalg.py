@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mimobp import (ComplexGaussian1D, SingularMatrixError, cn_logpdf, cn_pdf,
-                    draw_channel, hermitian_solve, partial_covariance)
+from mimobp import ComplexGaussian1D, cn_logpdf, cn_pdf, draw_channel
+from conftest import interference_covariance
 
 
 def quad_grid(center, sigma, points=200, span=6.0):
@@ -42,18 +42,20 @@ class TestCnPdf:
 
 
 class TestPartialCovariance:
+    """The explicit covariance that the filter-identity checks use as reference."""
+
     def test_all_columns_excluded_leaves_noise(self):
-        K = partial_covariance(np.eye(2), 1.0, {0, 1})
+        K = interference_covariance(np.eye(2), 1.0, {0, 1})
         assert np.allclose(K, np.eye(2))
 
     def test_single_exclusion_identity_channel(self):
-        K = partial_covariance(np.eye(2), 1.0, {0})
+        K = interference_covariance(np.eye(2), 1.0, {0})
         assert np.allclose(K, np.diag([1.0, 2.0]))
 
     def test_matches_outer_product_accumulation(self):
         H = draw_channel(4, 4, 77)
         sigma2 = 0.3
-        K = partial_covariance(H, sigma2, {1})
+        K = interference_covariance(H, sigma2, {1})
         ref = sigma2 * np.eye(4, dtype=complex)
         for k in (0, 2, 3):
             ref += np.outer(H[:, k], H[:, k].conj())
@@ -61,36 +63,13 @@ class TestPartialCovariance:
 
     def test_hermitian_positive_definite(self):
         H = draw_channel(5, 6, 3)
-        K = partial_covariance(H, 0.05, {0, 3})
+        K = interference_covariance(H, 0.05, {0, 3})
         assert np.max(np.abs(K - K.conj().T)) <= 1e-12
         assert np.linalg.eigvalsh(K)[0] > 0
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            partial_covariance(np.eye(2), 1.0, {2})
-
-
-class TestHermitianSolve:
-    def test_identity(self, rng):
-        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert np.allclose(hermitian_solve(np.eye(4), b), b)
-
-    def test_scalar_matrix(self, rng):
-        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert np.allclose(hermitian_solve(2 * np.eye(4), b), b / 2)
-
-    def test_residual_random_pd(self):
-        H = draw_channel(4, 4, 11)
-        A = partial_covariance(H, 0.2, ())
-        g = np.random.default_rng(12)
-        b = g.standard_normal(4) + 1j * g.standard_normal(4)
-        x = hermitian_solve(A, b)
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
-
-    def test_singular_rejected(self):
-        A = np.diag([1.0, 1e-16])
-        with pytest.raises(SingularMatrixError):
-            hermitian_solve(A, np.ones(2))
+            interference_covariance(np.eye(2), 1.0, {2})
 
 
 class TestGaussianIdentities:
@@ -145,8 +124,8 @@ class TestGaussianIdentities:
         H = draw_channel(4, 4, 5)
         sigma2 = 0.4
         for phi, j in (((), 2), ((1,), 3), ((0, 2), 1)):
-            K_phi = partial_covariance(H, sigma2, phi)
-            K_aug = partial_covariance(H, sigma2, tuple(phi) + (j,))
+            K_phi = interference_covariance(H, sigma2, phi)
+            K_aug = interference_covariance(H, sigma2, tuple(phi) + (j,))
             hj = H[:, j]
             row_aug = hj.conj() @ np.linalg.inv(K_aug)
             lhs = row_aug / (1 + (row_aug @ hj).real)

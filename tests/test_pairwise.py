@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mimobp import (ChannelInstance, PairwiseLink, Topology, build_graph,
-                    build_link, cn_pdf, hermitian_solve, partial_covariance,
-                    qpsk, translate_kernel, translate_log_table)
-from conftest import random_channel, received
+                    build_link, cn_pdf, qpsk, translate_kernel, translate_log_table)
+from conftest import interference_covariance, random_channel, received
 
 
 def make_link(seed, m=4, n=4, sigma2=0.1, j=1, i=0):
@@ -39,8 +38,8 @@ class TestBuildLink:
     def test_mean_recursion_dual_forms(self, seed):
         """offset = filtered observation scaled, and also the smaller-exclusion filter."""
         ch, y, link = make_link(seed)
-        K_i = partial_covariance(ch.H, ch.sigma2, {link.i})
-        row = hermitian_solve(K_i, ch.H[:, link.j])
+        K_i = interference_covariance(ch.H, ch.sigma2, {link.i})
+        row = np.linalg.solve(K_i, ch.H[:, link.j])
         u_right = np.vdot(row, y)
         v_right = -np.vdot(row, ch.H[:, link.i])
         assert abs(link.u - u_right) <= 1e-10 * (1 + abs(u_right))
