@@ -14,6 +14,10 @@ All of LMMSE, FB and the pairwise links come from one Gaussian posterior per
 trial, ``factor_posterior``. A caller that runs several of them on the same
 batch factors it once and hands the result to each through the ``posterior``
 keyword; without it each kernel factors for itself, with the same bits.
+Likewise ML, MAP and BP1 read one table of lattice residuals,
+``lattice_residuals``, through their ``residuals`` keyword. That table is
+built from two half-lattice tables with elementwise ops only, never a BLAS
+product over the batch, so its bits, and theirs, do not depend on the batch.
 
 A trial's bits must not depend on how many trials share its batch, and
 complex products need care for that. numpy's complex multiply fuses one of
@@ -63,9 +67,11 @@ def _sum(a, axis, keepdims=False):
     return np.expand_dims(out, axis) if keepdims else out
 
 
-def _lse(a, axis):
+def _lse(a, axis, work=None):
+    """Log-sum-exp over ``axis``; ``work`` (``a`` itself, or a buffer of its
+    shape) takes the scratch in place of a new temporary."""
     m = np.max(a, axis=axis, keepdims=True)
-    t = a - m
+    t = np.subtract(a, m, out=work)
     np.maximum(t, _EXP_FLOOR, out=t)
     np.exp(t, out=t)
     return np.squeeze(m, axis=axis) + np.log(_sum(t, axis))
@@ -124,27 +130,53 @@ def _lattice_marginals(w, size, k):
                            _lattice_marginals(_lse(blocks, axis=0), size, k - lead)])
 
 
-def _lattice_sq_residuals(H, y, constellation):
-    """|y_n - (H s)_n|^2 for every lattice point s; (L, N, B), lattice first."""
+def _kron_tables(tables, out):
+    """Extend the lattice table ``out`` (rows, ...) by one digit per table in
+    ``tables`` (digits, Q, ...): [row, s_0, s_1, ...] = out[row] + tables[0][s_0]
+    + tables[1][s_1] + ..., flattened in lexicographic order, last digit fastest."""
+    for table in tables:
+        out = (out[:, None] + table).reshape((-1,) + table.shape[1:])
+    return out
+
+
+def lattice_residuals(H, y, constellation):
+    """|y_n - (H s)_n|^2 for every lattice point s; C-contiguous (L, N, B),
+    lattice first, in ``lattice_indices`` order.
+
+    The digits are split at k = M // 2: a lead table (Q^k, N, B) holds
+    y - sum_{m<k} h_m s_m and a trail table (Q^(M-k), N, B) holds
+    sum_{m>=k} h_m s_m, both built digit by digit with elementwise ops. Each
+    lead row minus the trail table then fills one block of the result, so
+    no entry depends on how many trials share the batch.
+    """
     B, n_rx, m = H.shape
     check_lattice_capacity(m, constellation)
-    lat = lattice_indices(m, constellation.size)
-    resid = (constellation.points[lat] @ H.transpose(2, 1, 0).reshape(m, -1)).reshape(-1, n_rx, B)
-    np.subtract(y.T[None], resid, out=resid)
-    sq = np.abs(resid)
-    return np.square(sq, out=sq), lat
+    k = m // 2
+    terms = constellation.points[:, None, None] * H.transpose(2, 1, 0)[:, None]  # [m, s, n, b]
+    lead = _kron_tables(-terms[:k], y.T[None])
+    trail = _kron_tables(terms[k + 1:], terms[k])
+    sq = np.empty((len(lead), len(trail), n_rx, B))
+    diff = np.empty(trail.shape, dtype=complex)
+    for a, row in enumerate(lead):
+        np.abs(np.subtract(row, trail, out=diff), out=sq[a])
+    sq = sq.reshape(-1, n_rx, B)
+    return np.square(sq, out=sq)
 
 
-def ml_hard_batch(H, y, sigma2, constellation):
-    """Joint ML decisions; argmin keeps the lexicographically smallest tie."""
-    sq, lat = _lattice_sq_residuals(H, y, constellation)
-    return lat[np.argmin(_sum(sq, 1), axis=0)]
+def ml_hard_batch(H, y, sigma2, constellation, residuals=None):
+    """Joint ML decisions; argmin keeps the lexicographically smallest tie.
+
+    ``residuals`` is ``lattice_residuals(H, y, constellation)`` when the
+    caller has it; no lattice kernel writes into it."""
+    sq = lattice_residuals(H, y, constellation) if residuals is None else residuals
+    return lattice_indices(H.shape[2], constellation.size)[np.argmin(_sum(sq, 1), axis=0)]
 
 
-def map_marginals_batch(H, y, sigma2, constellation):
+def map_marginals_batch(H, y, sigma2, constellation, residuals=None):
     """Exact per-symbol posteriors for a batch; (B, M, Q)."""
-    sq, lat = _lattice_sq_residuals(H, y, constellation)
+    sq = lattice_residuals(H, y, constellation) if residuals is None else residuals
     m, size = H.shape[2], constellation.size
+    lat = lattice_indices(m, size)
     logp = -_sum(sq, 1) / sigma2 + np.sum(np.log(constellation.prior)[lat], axis=1)[:, None]
     p = np.exp(_norm_log(_lattice_marginals(logp, size, m), axis=1))  # [j, s, b]
     p /= _sum(p, 1, keepdims=True)
@@ -528,27 +560,41 @@ def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
 
 
 def bp1_batch(H, y, sigma2, constellation: Constellation, iterations: int,
-              singly_connected: bool = False) -> np.ndarray:
-    """Beliefs of the observation factor-graph scheme; (B, M, Q)."""
+              singly_connected: bool = False, residuals=None) -> np.ndarray:
+    """Beliefs of the observation factor-graph scheme; (B, M, Q).
+
+    ``residuals`` is ``lattice_residuals(H, y, constellation)`` when the
+    caller has it. The lattice is split at k = M // 2 as in
+    ``lattice_residuals``: with LA and LT the sums of the incoming messages
+    over the lead and the trail digits, every lead digit's marginal is a
+    marginal of LA + LSE_trail(ll + LT), and every trail digit's one of
+    LT + LSE_lead(ll + LA). Both log-sum-exps run in one work buffer.
+    """
     B, _, m = H.shape
     size = constellation.size
-    sq = _lattice_sq_residuals(H, y, constellation)[0]  # (L, F, B)
+    sq = lattice_residuals(H, y, constellation) if residuals is None else residuals  # (L, F, B)
     if singly_connected:
         sq = _sum(sq, 1, keepdims=True)
     n_fac = sq.shape[1]
-    sq /= -sigma2
-    ll = sq.reshape((size,) * m + (n_fac, B))
+    k = m // 2
+    ll = np.divide(sq, -sigma2).reshape((size ** k, -1, n_fac, B))
+    work = np.empty_like(ll)
     log_prior = np.log(constellation.prior)[:, None]
     lam = np.broadcast_to(log_prior[:, :, None], (m, size, n_fac, B))  # [j, s, f, b]
     log_b = np.broadcast_to(log_prior, (m, size, B))
+    zero = np.zeros((1, n_fac, B))
     for _ in range(iterations):
-        # w = ll + sum_k lam[k] on lattice axis k, shared by all M messages
-        w = ll.copy()
-        for k in range(m):
-            w += lam[k].reshape(tuple(size if a == k else 1 for a in range(m)) + (n_fac, B))
+        lead_sum, trail_sum = _kron_tables(lam[:k], zero), _kron_tables(lam[k:], zero)
+        trail = trail_sum + _lse(np.add(ll, lead_sum[:, None], out=work), 0, work=work)
+        if k:
+            lead = lead_sum + _lse(np.add(ll, trail_sum, out=work), 1, work=work)
+            marg = np.concatenate([_lattice_marginals(lead, size, k),
+                                   _lattice_marginals(trail, size, m - k)])
+        else:
+            marg = _lattice_marginals(trail, size, m)
         # lam[j] is constant along the axes summed out for digit j, so it
         # is pulled out of the log-sum-exp and removed afterwards
-        pi = _norm_log(_lattice_marginals(w.reshape((-1, n_fac, B)), size, m) - lam, axis=1)
+        pi = _norm_log(marg - lam, axis=1)
         log_b = _norm_log(log_prior + _sum(pi, 2), axis=1)  # [j, s, b]
         lam = _norm_log(log_b[:, :, None] - pi, axis=1)
     return np.ascontiguousarray(np.exp(log_b).transpose(2, 0, 1))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -41,18 +40,19 @@ POSTERIOR_DETECTORS = ("LMMSE", "FB") + LINKED_DETECTORS  # read batch.factor_po
 DEFAULT_ITERATIONS = {"BP1": 4, "BP2": 3, "BP3": 4, "FB": 4}
 
 
+# Beyond +-100 dB the detectors' arithmetic leaves the double range: at
+# 1600 dB and -200 dB the kernels divide 0 by 0 or overflow and count NaN
+# beliefs as decisions.
+MAX_ABS_SNR_DB = 100.0
+
+
 def noise_variance(snr_db) -> float:
     """sigma2 = 10^(-snr_db / 10), the noise power per complex dimension at
-    unit symbol energy. ConfigError unless snr_db is finite and sigma2 is a
-    finite float > 0."""
-    try:
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-    except OverflowError:
-        sigma2 = math.inf
-    if not (math.isfinite(snr_db) and math.isfinite(sigma2) and sigma2 > 0):
-        raise ConfigError(f"snr_db {snr_db!r} gives no finite noise power > 0 "
-                          f"(sigma2 = 10^(-snr_db/10) = {sigma2!r})")
-    return sigma2
+    unit symbol energy. ConfigError unless |snr_db| <= MAX_ABS_SNR_DB."""
+    if not abs(snr_db) <= MAX_ABS_SNR_DB:  # also rejects NaN
+        raise ConfigError(f"snr_db {snr_db!r} is outside [-{MAX_ABS_SNR_DB:g}, "
+                          f"{MAX_ABS_SNR_DB:g}] dB, where results stay finite")
+    return 10.0 ** (-snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -267,22 +267,26 @@ def generate_batch(cfg: SimConfig, constellation, sigma2, snr_idx, start, count)
     return H, idx, y
 
 
-def _detect_batch(detector, count, H, y, sigma2, constellation, posterior, tables, order):
+def _detect_batch(detector, count, H, y, sigma2, constellation, posterior, tables, residuals,
+                  order):
     """Hard decisions (B, M) of one arm on one generated batch.
 
     ``count`` is the arm's iteration or sweep count, ``posterior`` the
-    batch's ``batch.factor_posterior`` and ``tables`` its link tables, each
-    None when no arm needs it.
+    batch's ``batch.factor_posterior``, ``tables`` its link tables and
+    ``residuals`` its ``batch.lattice_residuals``, each None when no arm
+    needs it.
     """
     if detector == "LMMSE":
         xhat, _ = batch.lmmse_batch(H, y, sigma2, posterior=posterior)
         return constellation.slice_hard(xhat)
     if detector == "ML":
-        return batch.ml_hard_batch(H, y, sigma2, constellation)
+        return batch.ml_hard_batch(H, y, sigma2, constellation, residuals=residuals)
     if detector == "MAP":
-        return np.argmax(batch.map_marginals_batch(H, y, sigma2, constellation), axis=2)
+        return np.argmax(batch.map_marginals_batch(H, y, sigma2, constellation,
+                                                   residuals=residuals), axis=2)
     if detector == "BP1":
-        return np.argmax(batch.bp1_batch(H, y, sigma2, constellation, count), axis=2)
+        return np.argmax(batch.bp1_batch(H, y, sigma2, constellation, count,
+                                         residuals=residuals), axis=2)
     if detector == "BP2":
         return np.argmax(batch.bp2_batch(tables, constellation, count), axis=2)
     if detector == "BP3":
@@ -335,8 +339,9 @@ def _run_arms(cfg: SimConfig, arms):
     record's ``iterations`` empty.
 
     Each generated batch's posterior is factored once, and its link tables
-    built once, before the arm timers: LMMSE, FB and the link tables all read
-    the same factorisation, and no arm's ``elapsed_s`` carries it.
+    and lattice residuals built once, before the arm timers: LMMSE, FB and
+    the link tables all read the same factorisation, ML, MAP and BP1 the
+    same residuals, and no arm's ``elapsed_s`` carries either.
     """
     constellation = get_constellation(cfg.constellation)
     _check_capacity(cfg, constellation)
@@ -347,10 +352,12 @@ def _run_arms(cfg: SimConfig, arms):
               for d, k in arms]
     linked = any(d in LINKED_DETECTORS for d, _ in arms)
     factored = any(d in POSTERIOR_DETECTORS for d, _ in arms)
+    lattice = any(d in LATTICE_DETECTORS for d, _ in arms)
     records = []
     for snr_idx, snr in enumerate(cfg.snr_db):
         sigma2 = noise_variance(snr)
         errors = [[] for _ in arms]
+        totals = [0] * len(arms)
         elapsed = [0.0] * len(arms)
         hard_cap = cfg.max_trials or (cfg.trials if cfg.target_errors is None
                                       else 100 * cfg.trials)
@@ -361,14 +368,16 @@ def _run_arms(cfg: SimConfig, arms):
             bits_true = labels[idx_true]
             posterior = batch.factor_posterior(H, y, sigma2) if factored else None
             tables = batch.link_tables(H, y, sigma2, posterior=posterior) if linked else None
+            residuals = batch.lattice_residuals(H, y, constellation) if lattice else None
             for a, (det, _) in enumerate(arms):
                 t0 = time.perf_counter()
                 idx_hat = _detect_batch(det, counts[a], H, y, sigma2, constellation, posterior,
-                                        tables, cfg.permutation)
+                                        tables, residuals, cfg.permutation)
                 elapsed[a] += time.perf_counter() - t0
                 errors[a].append(np.sum(labels[idx_hat] != bits_true, axis=(1, 2)))
+                totals[a] += int(errors[a][-1].sum())
             done += count
-            if _stopping_met(cfg, errors, done):
+            if _stopping_met(cfg, totals, done):
                 break
         for (det, k), chunks, secs in zip(arms, errors, elapsed):
             per_trial = np.concatenate(chunks)
@@ -395,15 +404,11 @@ def _trials_used(cfg, per_trial):
     return max(floor, int(reached[0]) + 1)
 
 
-def _stopping_met(cfg, errors, done):
-    if cfg.target_errors is None:
+def _stopping_met(cfg, totals, done):
+    """Whether ``done`` trials, with ``totals`` bit errors per arm, end the SNR point."""
+    if cfg.target_errors is None or done < cfg.trials:
         return done >= cfg.trials
-    if done < cfg.trials:
-        return False
-    for chunks in errors:
-        if sum(int(c.sum()) for c in chunks) < cfg.target_errors:
-            return False
-    return True
+    return min(totals) >= cfg.target_errors
 
 
 @dataclass(frozen=True)

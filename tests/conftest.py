@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mimobp import ChannelInstance, draw_channel, qam16, qpsk
+
+# pyproject's pythonpath puts src/ on this process's path; the CLI tests'
+# subprocesses import mimobp from the same checkout through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

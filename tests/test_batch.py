@@ -15,6 +15,7 @@ from mimobp import (BpConfig, CapacityError, ChannelInstance, GbpConfig, Topolog
                     gbp3g, get_constellation, lmmse, map_marginals, ml_hard, qpsk)
 from mimobp import batch
 from mimobp.batch import LinkTables
+from mimobp.exact import lattice_indices
 from mimobp.pairwise import PairwiseGraph, PairwiseLink, build_link
 from mimobp.sim import SimConfig, generate_batch
 
@@ -618,26 +619,65 @@ def test_lone_trial_matches_its_row_of_a_cli_sized_gbp3g_batch():
     assert not differ, differ
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "batch._lattice_sq_residuals takes every residual from one (L, M) @ (M, N*B) "
-    "product, which OpenBLAS rounds differently with N*B at these shapes"))
-@pytest.mark.parametrize("m,n", [(2, 9), (3, 9), (2, 2)])
-def test_lone_trial_matches_its_row_of_a_lattice_batch(m, n):
-    """ML, MAP and BP1 on a lone trial against its row of 64 trials (seed 3):
-    an open gap of the batch-size contract, which holds at 4x4 and 4x8."""
-    c = qpsk()
+@pytest.mark.parametrize("m,n,name", [(2, 9, "QPSK"), (3, 9, "QPSK"), (2, 2, "QPSK"),
+                                      (5, 5, "QPSK"), (6, 6, "QPSK"), (3, 3, "QAM16")])
+def test_lone_trial_matches_its_row_of_a_lattice_batch(m, n, name):
+    """ML, MAP and BP1 (both graphs) on a lone trial against its row of 64
+    trials (seed 3, 6 dB), at shapes where a BLAS product over the whole
+    batch once rounded the lattice residuals differently with its width."""
+    c = get_constellation(name)
     sigma2 = 10.0 ** (-6.0 / 10.0)
-    cfg = SimConfig(m=m, n=n, snr_db=(6.0,), seed=3)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(6.0,), seed=3)
     H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 64)
 
     def kernels(part):
-        return {"ML": batch.ml_hard_batch(H[part], y[part], sigma2, c),
+        return {"residuals": batch.lattice_residuals(H[part], y[part], c),
+                "ML": batch.ml_hard_batch(H[part], y[part], sigma2, c),
                 "MAP": batch.map_marginals_batch(H[part], y[part], sigma2, c),
-                "BP1": batch.bp1_batch(H[part], y[part], sigma2, c, 3)}
+                "BP1": batch.bp1_batch(H[part], y[part], sigma2, c, 3),
+                "BP1 singly": batch.bp1_batch(H[part], y[part], sigma2, c, 3,
+                                              singly_connected=True)}
 
     whole = kernels(slice(None))
     differ = dict.fromkeys(whole, 0)
     for b in range(64):
         for kernel, lone in kernels(slice(b, b + 1)).items():
-            differ[kernel] += not np.array_equal(whole[kernel][b:b + 1], lone)
+            differ[kernel] += not np.array_equal(whole[kernel][..., b:b + 1]
+                                                 if kernel == "residuals" else
+                                                 whole[kernel][b:b + 1], lone)
     assert not any(differ.values()), str(differ)
+
+
+@pytest.mark.parametrize("m,n,name", [(1, 1, "QPSK"), (2, 3, "QPSK"), (4, 4, "QPSK"),
+                                      (5, 5, "QPSK"), (3, 4, "QAM16")])
+def test_shared_residuals_give_the_same_bits(m, n, name):
+    """ML, MAP and BP1 handed one read-only residual table equal their calls
+    without it, which build the table for themselves; none writes into it."""
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-8.0 / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(8.0,), seed=23)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 24)
+    table = batch.lattice_residuals(H, y, c)
+    assert table.shape == (c.size ** m, n, 24) and table.flags.c_contiguous
+    kept = table.copy()
+    table.flags.writeable = False
+    kernels = {"ML": lambda **kw: batch.ml_hard_batch(H, y, sigma2, c, **kw),
+               "MAP": lambda **kw: batch.map_marginals_batch(H, y, sigma2, c, **kw),
+               "BP1": lambda **kw: batch.bp1_batch(H, y, sigma2, c, 3, **kw),
+               "BP1 singly": lambda **kw: batch.bp1_batch(H, y, sigma2, c, 3,
+                                                          singly_connected=True, **kw)}
+    for kernel, run in kernels.items():
+        assert np.array_equal(run(), run(residuals=table)), kernel
+    assert np.array_equal(table, kept)
+
+
+@pytest.mark.parametrize("m,n,name", [(1, 2, "QPSK"), (3, 4, "QPSK"), (2, 3, "QAM16")])
+def test_lattice_residuals_match_the_direct_product(m, n, name):
+    """The split table equals |y - H s|^2 of every lattice point, in
+    ``lattice_indices`` order, up to rounding."""
+    c = get_constellation(name)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(10.0,), seed=29)
+    H, _, y = generate_batch(cfg, c, 0.1, 0, 0, 5)
+    lat = c.points[lattice_indices(m, c.size)]  # (L, M)
+    direct = np.abs(y.T[None] - np.einsum("bnm,lm->lnb", H, lat)) ** 2
+    assert np.allclose(batch.lattice_residuals(H, y, c), direct, rtol=1e-12, atol=1e-12)

@@ -108,6 +108,34 @@ class TestExitCodes:
         assert "config error" in res.stderr and "snr_db" in res.stderr
         assert res.stdout == "" and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--snr-db", "2000"),
+        ("simulate", "--snr-db=-200"),
+        ("converge", "--snr-db", "3200"),
+    ])
+    def test_snr_beyond_100_db_exits_two(self, args):
+        """Finite SNRs past +-100 dB drive the kernels into NaN beliefs, so
+        they are config errors rather than meaningless counts."""
+        res = run_cli(*args, "--trials", "5", timeout=60)
+        assert res.returncode == 2
+        assert "config error" in res.stderr and "100" in res.stderr
+        assert res.stdout == "" and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("snr", ["100", "-100"])
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--m", "4", "--n", "4", "--detectors", "MAP,ML,LMMSE,BP1,BP2,BP3,FB,GBP2G,GBP3G"),
+        ("simulate", "--m", "3", "--n", "5", "--constellation", "QAM16",
+         "--detectors", "MAP,ML,LMMSE,BP1,BP2,BP3,FB,GBP2G,GBP3G"),
+        ("simulate", "--m", "1", "--n", "1", "--detectors", "MAP,ML,LMMSE,BP1,BP2,BP3,GBP2G,GBP3G"),
+        ("converge", "--channels", "2", "--sweeps", "100"),
+    ])
+    def test_snr_at_the_limits_runs_without_warnings(self, args, snr):
+        res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mimobp.cli",
+                              *args, f"--snr-db={snr}", "--trials", "10"],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+
     def test_missing_config_file(self):
         res = run_cli("simulate", "--config", "/nonexistent/path.cfg")
         assert res.returncode == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -143,7 +145,7 @@ class TestGeneration:
 
 class TestRunSimulate:
     def test_noiseless_lmmse_is_error_free(self):
-        cfg = SimConfig(snr_db=(300.0,), detectors=("LMMSE",), trials=100,
+        cfg = SimConfig(snr_db=(100.0,), detectors=("LMMSE",), trials=100,
                         batch_size=50).validate()
         rec, = run_simulate(cfg)
         assert rec.bit_errors == 0 and rec.ber == 0.0
@@ -203,6 +205,33 @@ class TestRunSimulate:
                         gbp_sweeps=5).validate()
         run_simulate(cfg)
         assert calls == factored
+
+    @pytest.mark.parametrize("detectors,built", [
+        (("ML", "LMMSE", "MAP", "BP1"), [32, 32, 6]), (("LMMSE", "BP2", "FB"), [])])
+    def test_one_residual_table_per_generated_batch(self, monkeypatch, detectors, built):
+        """Trial counts of every lattice residual table: one per batch of 32,
+        32 and 6 when a lattice arm runs, none otherwise."""
+        calls = []
+        build = sim.batch.lattice_residuals
+
+        def counted(H, *args):
+            calls.append(len(H))
+            return build(H, *args)
+
+        monkeypatch.setattr(sim.batch, "lattice_residuals", counted)
+        cfg = SimConfig(snr_db=(8.0,), detectors=detectors, trials=70, batch_size=32).validate()
+        run_simulate(cfg)
+        assert calls == built
+
+    def test_target_error_mode_independent_of_batch_size(self):
+        """Batches of one trial stop where batches of 512 do, for every arm."""
+        base = dict(m=2, n=2, snr_db=(4.0, 9.0), detectors=("LMMSE", "ML", "BP3"), trials=40,
+                    target_errors=60, seed=31)
+        one, many = ([dataclasses.replace(r, elapsed_s=0.0)
+                      for r in run_simulate(SimConfig(batch_size=size, **base).validate())]
+                     for size in (1, 512))
+        assert one == many
+        assert all(r.bit_errors >= 60 for r in one)
 
 
 class TestIterstudy:
