@@ -19,6 +19,20 @@ Likewise ML, MAP and BP1 read one table of lattice residuals,
 built from two half-lattice tables with elementwise ops only, never a BLAS
 product over the batch, so its bits, and theirs, do not depend on the batch.
 
+Two working sets grow with the trials times the lattice or the alphabet
+squared: the lattice kernels' residual tables, L*N doubles per trial and
+table, and BP2's (M, M, Q, Q) log tables. Both are walked in
+``trial_blocks`` of a fixed byte size, so their memory stays flat however
+large the batch: ``lattice_blocks`` for ML, MAP and BP1 (a caller that
+shares one table among them builds it per block; see ``sim._run_arms``),
+and BP2 inside ``bp2_batch``. Every kernel gives a trial the same bits in
+any block, so the blocks move no bit. The other kernels (LMMSE, FB, BP3,
+GBP2G, GBP3G) hold O(M^2) or O(M Q^2) per trial and run on the whole
+batch: cut from 512 trials to 128, GBP2G, BP3 and FB ran 1.2x to 2.7x slower
+per trial, since their numpy calls are many and small. The posterior and
+the link tables that feed them are whole-batch too. A single trial larger
+than the budget still runs as one block.
+
 A trial's bits must not depend on how many trials share its batch, and
 complex products need care for that. numpy's complex multiply fuses one of
 its products into a multiply-add, so ``a * b`` and ``b * a`` can differ in
@@ -31,7 +45,7 @@ temporary is written ``np.multiply(a, b)``, whose order numpy keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +60,24 @@ from .pairwise import ring_order
 # exp is tens of times slower. Next to the max term exp(0) = 1 such terms
 # are under 1e-304, so clamping them to this floor leaves every sum as is.
 _EXP_FLOOR = -700.0
+
+
+# Trial blocks of about _BLOCK_BYTES each, but never fewer than _MIN_BLOCK
+# trials, below which numpy's fixed cost per call dominates. Both come from
+# a sweep of run_simulate (CHANGES.md): 2 MiB blocks made the lattice arms
+# 11% slower than one block at 4x4 QPSK, 4 MiB none; 8 and 16 trials were
+# fastest for 4x4 QAM16, and 4 trials 1.4x slower. Every kernel is
+# partition-exact, so neither constant moves a bit.
+_BLOCK_BYTES = 4 << 20
+_MIN_BLOCK = 16
+
+
+def trial_blocks(B, bytes_per_trial):
+    """Contiguous slices that cover range(B), of nearly equal width, at
+    most max(_MIN_BLOCK, _BLOCK_BYTES // bytes_per_trial) and at most B."""
+    width = max(1, min(B, max(_MIN_BLOCK, _BLOCK_BYTES // bytes_per_trial)))
+    count = max(1, -(-B // width))  # an empty batch is one empty block
+    return [slice(B * i // count, B * (i + 1) // count) for i in range(count)]
 
 
 def _sum(a, axis, keepdims=False):
@@ -163,18 +195,40 @@ def lattice_residuals(H, y, constellation):
     return np.square(sq, out=sq)
 
 
+def lattice_blocks(H, constellation):
+    """``trial_blocks`` of the lattice kernels. A trial's residual table and
+    BP1's two work tables hold L*N doubles each; with the table's build and
+    BP1's small tables, traced peaks were 3.0 to 3.7 of them per trial on
+    lattices of 256 points or more."""
+    _, n_rx, m = H.shape
+    return trial_blocks(len(H), 4 * 8 * n_rx * constellation.size ** m)
+
+
+def _by_lattice_blocks(kernel, H, y, sigma2, constellation, *args, **kwargs):
+    """``kernel`` on each of ``lattice_blocks`` with that block's residual
+    table, its outputs joined over the trials."""
+    return np.concatenate([
+        kernel(H[part], y[part], sigma2, constellation, *args,
+               residuals=lattice_residuals(H[part], y[part], constellation), **kwargs)
+        for part in lattice_blocks(H, constellation)])
+
+
 def ml_hard_batch(H, y, sigma2, constellation, residuals=None):
     """Joint ML decisions; argmin keeps the lexicographically smallest tie.
 
     ``residuals`` is ``lattice_residuals(H, y, constellation)`` when the
-    caller has it; no lattice kernel writes into it."""
-    sq = lattice_residuals(H, y, constellation) if residuals is None else residuals
-    return lattice_indices(H.shape[2], constellation.size)[np.argmin(_sum(sq, 1), axis=0)]
+    caller has it; no lattice kernel writes into it. Without it, each of
+    ``lattice_blocks`` builds its own table, so the batch never has one."""
+    if residuals is None:
+        return _by_lattice_blocks(ml_hard_batch, H, y, sigma2, constellation)
+    return lattice_indices(H.shape[2], constellation.size)[np.argmin(_sum(residuals, 1), axis=0)]
 
 
 def map_marginals_batch(H, y, sigma2, constellation, residuals=None):
     """Exact per-symbol posteriors for a batch; (B, M, Q)."""
-    sq = lattice_residuals(H, y, constellation) if residuals is None else residuals
+    if residuals is None:
+        return _by_lattice_blocks(map_marginals_batch, H, y, sigma2, constellation)
+    sq = residuals
     m, size = H.shape[2], constellation.size
     lat = lattice_indices(m, size)
     logp = -_sum(sq, 1) / sigma2 + np.sum(np.log(constellation.prior)[lat], axis=1)[:, None]
@@ -198,6 +252,10 @@ class LinkTables:
     v: np.ndarray
     u_var: np.ndarray
     v_var: np.ndarray
+
+    def trials(self, part):
+        """The tables of the trials ``part``, a slice; views, not copies."""
+        return LinkTables(**{f.name: getattr(self, f.name)[part] for f in fields(self)})
 
 
 def _posterior_links(posterior, sigma2, j, i):
@@ -250,12 +308,21 @@ def bp2_batch(links: LinkTables, constellation: Constellation, iterations: int) 
 
     Messages are (M, M, Q, B), [j, i, s, b] for the i -> j message about
     x_j = s. The self-message [j, j] is held at zero, so the sums over
-    sources need no mask.
+    sources need no mask. The trials run in ``trial_blocks``: the (M, M, Q,
+    Q) log tables and their temporaries, 4.1 to 4.9 tables per trial in
+    traced runs, are the largest working set of any pairwise kernel.
     """
     B, m, _ = links.a_diag.shape
-    size = constellation.size
     if m == 2:
         return bp3_batch(links, constellation, iterations, order=(0, 1))
+    return np.concatenate([_bp2_block(links.trials(part), constellation, iterations)
+                           for part in trial_blocks(B, 5 * 8 * (m * constellation.size) ** 2)])
+
+
+def _bp2_block(links, constellation, iterations):
+    """``bp2_batch`` on the trials of ``links``, in one block."""
+    B, m, _ = links.a_diag.shape
+    size = constellation.size
     log_t = _translate_log_tables(links, constellation.points)  # [j, i, s, t, b]
     self_msg = (np.arange(m), np.arange(m))
     pi = np.full((m, m, size, B), -np.log(size))
@@ -570,9 +637,12 @@ def bp1_batch(H, y, sigma2, constellation: Constellation, iterations: int,
     marginal of LA + LSE_trail(ll + LT), and every trail digit's one of
     LT + LSE_lead(ll + LA). Both log-sum-exps run in one work buffer.
     """
+    if residuals is None:
+        return _by_lattice_blocks(bp1_batch, H, y, sigma2, constellation, iterations,
+                                  singly_connected=singly_connected)
     B, _, m = H.shape
     size = constellation.size
-    sq = lattice_residuals(H, y, constellation) if residuals is None else residuals  # (L, F, B)
+    sq = residuals  # (L, F, B)
     if singly_connected:
         sq = _sum(sq, 1, keepdims=True)
     n_fac = sq.shape[1]

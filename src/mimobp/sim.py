@@ -269,12 +269,13 @@ def generate_batch(cfg: SimConfig, constellation, sigma2, snr_idx, start, count)
 
 def _detect_batch(detector, count, H, y, sigma2, constellation, posterior, tables, residuals,
                   order):
-    """Hard decisions (B, M) of one arm on one generated batch.
+    """Hard decisions (B, M) of one arm on one generated batch, or for a
+    lattice arm on one block of its trials.
 
     ``count`` is the arm's iteration or sweep count, ``posterior`` the
     batch's ``batch.factor_posterior``, ``tables`` its link tables and
-    ``residuals`` its ``batch.lattice_residuals``, each None when no arm
-    needs it.
+    ``residuals`` the block's ``batch.lattice_residuals``, each None when no
+    arm needs it.
     """
     if detector == "LMMSE":
         xhat, _ = batch.lmmse_batch(H, y, sigma2, posterior=posterior)
@@ -339,9 +340,11 @@ def _run_arms(cfg: SimConfig, arms):
     record's ``iterations`` empty.
 
     Each generated batch's posterior is factored once, and its link tables
-    and lattice residuals built once, before the arm timers: LMMSE, FB and
-    the link tables all read the same factorisation, ML, MAP and BP1 the
-    same residuals, and no arm's ``elapsed_s`` carries either.
+    built once, before the arm timers: LMMSE, FB and the link tables all read
+    the same factorisation. The lattice arms (ML, MAP, BP1) walk the batch in
+    ``batch.lattice_blocks``, and each block's residual table is built once,
+    outside the arm timers, and read by all of them, so no batch ever holds
+    one table for all its trials. No arm's ``elapsed_s`` carries shared work.
     """
     constellation = get_constellation(cfg.constellation)
     _check_capacity(cfg, constellation)
@@ -352,7 +355,8 @@ def _run_arms(cfg: SimConfig, arms):
               for d, k in arms]
     linked = any(d in LINKED_DETECTORS for d, _ in arms)
     factored = any(d in POSTERIOR_DETECTORS for d, _ in arms)
-    lattice = any(d in LATTICE_DETECTORS for d, _ in arms)
+    on_lattice = [a for a, (d, _) in enumerate(arms) if d in LATTICE_DETECTORS]
+    off_lattice = [a for a, (d, _) in enumerate(arms) if d not in LATTICE_DETECTORS]
     records = []
     for snr_idx, snr in enumerate(cfg.snr_db):
         sigma2 = noise_variance(snr)
@@ -368,13 +372,24 @@ def _run_arms(cfg: SimConfig, arms):
             bits_true = labels[idx_true]
             posterior = batch.factor_posterior(H, y, sigma2) if factored else None
             tables = batch.link_tables(H, y, sigma2, posterior=posterior) if linked else None
-            residuals = batch.lattice_residuals(H, y, constellation) if lattice else None
-            for a, (det, _) in enumerate(arms):
+
+            def decide(a, part=slice(None), residuals=None):
                 t0 = time.perf_counter()
-                idx_hat = _detect_batch(det, counts[a], H, y, sigma2, constellation, posterior,
-                                        tables, residuals, cfg.permutation)
+                idx_hat = _detect_batch(arms[a][0], counts[a], H[part], y[part], sigma2,
+                                        constellation, posterior, tables, residuals,
+                                        cfg.permutation)
                 elapsed[a] += time.perf_counter() - t0
-                errors[a].append(np.sum(labels[idx_hat] != bits_true, axis=(1, 2)))
+                return idx_hat
+
+            decided = [[] for _ in arms]  # each arm's decisions, block by block
+            for part in batch.lattice_blocks(H, constellation) if on_lattice else ():
+                residuals = batch.lattice_residuals(H[part], y[part], constellation)
+                for a in on_lattice:
+                    decided[a].append(decide(a, part, residuals))
+            for a in off_lattice:
+                decided[a].append(decide(a))
+            for a, parts in enumerate(decided):
+                errors[a].append(np.sum(labels[np.concatenate(parts)] != bits_true, axis=(1, 2)))
                 totals[a] += int(errors[a][-1].sum())
             done += count
             if _stopping_met(cfg, totals, done):

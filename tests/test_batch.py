@@ -384,8 +384,7 @@ def test_gaussian_batches_independent_of_partitioning():
         cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=3)
         H, _, y = generate_batch(cfg, c, sigma2, 0, 0, trials)
         t = batch.link_tables(H, y, sigma2)
-        parts = [LinkTables(**{f.name: getattr(t, f.name)[part] for f in fields(LinkTables)})
-                 for part in map(slice, (0,) + cuts, cuts + (trials,))]
+        parts = [t.trials(part) for part in map(slice, (0,) + cuts, cuts + (trials,))]
         kernels = (lambda tables: batch.gbp2g_batch(tables, 200),
                    lambda tables: batch.gbp3g_batch(tables, 200, order=order))
         for kernel in kernels:
@@ -681,3 +680,56 @@ def test_lattice_residuals_match_the_direct_product(m, n, name):
     lat = c.points[lattice_indices(m, c.size)]  # (L, M)
     direct = np.abs(y.T[None] - np.einsum("bnm,lm->lnb", H, lat)) ** 2
     assert np.allclose(batch.lattice_residuals(H, y, c), direct, rtol=1e-12, atol=1e-12)
+
+
+def test_trial_blocks_cover_the_batch_in_nearly_equal_widths(monkeypatch):
+    monkeypatch.setattr(batch, "_BLOCK_BYTES", 1000)
+    monkeypatch.setattr(batch, "_MIN_BLOCK", 3)
+    for B, bytes_per_trial, widths in ((10, 100, [10]), (25, 100, [8, 8, 9]), (7, 500, [2, 2, 3]),
+                                       (7, 10 ** 9, [2, 2, 3]), (2, 1, [2]), (0, 100, [0])):
+        blocks = batch.trial_blocks(B, bytes_per_trial)
+        assert [b.stop - b.start for b in blocks] == widths
+        assert np.array_equal(np.arange(B)[np.r_[tuple(blocks)]], np.arange(B))
+
+
+def _forced_blocks(monkeypatch, widths):
+    """Blocks of two trials at most, whatever the budget; the widths of every
+    ``trial_blocks`` call go to ``widths``."""
+    monkeypatch.setattr(batch, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(batch, "_MIN_BLOCK", 2)
+    blocks = batch.trial_blocks
+    monkeypatch.setattr(batch, "trial_blocks", lambda *args: widths.append(
+        [b.stop - b.start for b in blocks(*args)]) or blocks(*args))
+
+
+@pytest.mark.parametrize("m,n,name,trials", [(4, 4, "QPSK", 9), (5, 5, "QPSK", 7),
+                                             (3, 3, "QAM16", 9), (8, 8, "QPSK", 9)])
+def test_trial_blocks_move_no_bit(monkeypatch, m, n, name, trials):
+    """ML, MAP, BP1 (both graphs), the residual tables and BP2 in blocks of
+    two trials, the first of them a lone trial, give the bits of one block."""
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-8.0 / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(8.0,), seed=37)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, trials)
+    t = batch.link_tables(H, y, sigma2)
+
+    def kernels():
+        out = {"BP2": batch.bp2_batch(t, c, 3)}
+        if m < 8:
+            out.update({
+                "residuals": np.concatenate([batch.lattice_residuals(H[part], y[part], c)
+                                             for part in batch.lattice_blocks(H, c)], axis=-1),
+                "ML": batch.ml_hard_batch(H, y, sigma2, c),
+                "MAP": batch.map_marginals_batch(H, y, sigma2, c),
+                "BP1": batch.bp1_batch(H, y, sigma2, c, 3),
+                "BP1 singly": batch.bp1_batch(H, y, sigma2, c, 3, singly_connected=True)})
+        return out
+
+    whole = kernels()
+    widths = []
+    _forced_blocks(monkeypatch, widths)
+    blocked = kernels()
+    expected = [1] + [2] * (trials // 2)
+    assert widths == [expected] * len(blocked)
+    for kernel, a in whole.items():
+        assert np.array_equal(_bits(a), _bits(blocked[kernel])), kernel

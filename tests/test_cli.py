@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -172,6 +173,23 @@ class TestExitCodes:
         assert cli.main(["simulate", "--snr-db", "8", "--trials", "1",
                          "--detectors", "ML"]) == 3
         assert "--batch-size" in capsys.readouterr().err
+
+    def test_lattice_run_fits_a_1_gb_address_space(self):
+        """512 trials of 4x4 QAM16 ML in one batch once asked for a 1 GiB
+        residual table and exited 3 under this limit; in blocks of 16 trials
+        the tables take 32 MiB. One BLAS thread keeps the thread stacks of a
+        many-core host out of the address space."""
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        res = subprocess.run(CLI + ["simulate", "--constellation", "QAM16", "--detectors", "ML",
+                                    "--trials", "512", "--snr-db", "10"],
+                             capture_output=True, text=True, preexec_fn=cap, env=env, timeout=300)
+        assert res.returncode == 0, res.stderr
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,41 @@ class TestRunSimulate:
         run_simulate(cfg)
         assert calls == built
 
+    def test_one_residual_table_per_lattice_block(self, monkeypatch):
+        """Blocks of at most five trials forced: one table per block, read by
+        all three lattice arms, so batches of 32, 32 and 6 build 7, 7 and 2."""
+        monkeypatch.setattr(sim.batch, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(sim.batch, "_MIN_BLOCK", 5)
+        calls = []
+        build = sim.batch.lattice_residuals
+
+        def counted(H, *args):
+            calls.append(len(H))
+            return build(H, *args)
+
+        monkeypatch.setattr(sim.batch, "lattice_residuals", counted)
+        cfg = SimConfig(snr_db=(8.0,), detectors=("ML", "LMMSE", "MAP", "BP1"), trials=70,
+                        batch_size=32).validate()
+        run_simulate(cfg)
+        assert calls == [4, 5, 4, 5, 4, 5, 5] * 2 + [3, 3]
+
+    @pytest.mark.parametrize("fields", [
+        dict(detectors=sim.DETECTORS, gbp_sweeps=30),
+        dict(m=3, n=3, constellation="QAM16", detectors=("ML", "MAP", "BP1"))])
+    def test_records_do_not_depend_on_the_trial_blocks(self, monkeypatch, fields):
+        """Records, but for elapsed_s, with blocks of at most two trials (the
+        lattice arms and BP2) equal those with one block per batch."""
+        cfg = SimConfig(snr_db=(4.0, 9.0), trials=23, batch_size=10, seed=41, **fields).validate()
+
+        def records():
+            return [dataclasses.replace(r, elapsed_s=0.0) for r in run_simulate(cfg)]
+
+        monkeypatch.setattr(sim.batch, "_BLOCK_BYTES", 1 << 40)
+        whole = records()
+        monkeypatch.setattr(sim.batch, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(sim.batch, "_MIN_BLOCK", 2)
+        assert records() == whole
+
     def test_target_error_mode_independent_of_batch_size(self):
         """Batches of one trial stop where batches of 512 do, for every arm."""
         base = dict(m=2, n=2, snr_db=(4.0, 9.0), detectors=("LMMSE", "ML", "BP3"), trials=40,
@@ -232,6 +268,58 @@ class TestRunSimulate:
                      for size in (1, 512))
         assert one == many
         assert all(r.bit_errors >= 60 for r in one)
+
+
+def _traced(fn, *args):
+    """``fn(*args)`` and its tracemalloc peak in bytes, above the memory
+    traced at entry."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    out = fn(*args)
+    return out, tracemalloc.get_traced_memory()[1] - base
+
+
+class TestMemory:
+    """The lattice tables and BP2's log tables run in blocks of trials, so
+    their memory stays flat as --batch-size grows."""
+
+    @pytest.fixture(autouse=True)
+    def traced(self):
+        tracemalloc.start()
+        yield
+        tracemalloc.stop()
+
+    def test_lattice_run_peak_does_not_grow_with_the_batch(self):
+        """4x4 QAM16, ML, MAP and BP1 (one iteration: the peak does not depend
+        on the count): batches of 1024 trials peak within 1.25x of batches of
+        64. Before the blocks the peak grew by about 6 MiB per trial, 2.0x
+        from 16 to 32 trials, so 1024 would have been about 16x 64 (6 GiB)."""
+        peaks = [_traced(run_simulate, SimConfig(
+            constellation="QAM16", snr_db=(10.0,), detectors=("ML", "MAP", "BP1"),
+            iterations={"BP1": 1}, trials=size, batch_size=size).validate())[1]
+            for size in (64, 1024)]
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_bp2_peak_stays_within_the_block_budget(self, monkeypatch):
+        """8x8 QPSK, BP2 alone: every bp2_batch call inside run_simulate, at
+        batches of 64 and 1024 trials, peaks within 1.25x of the block budget
+        (4 MiB). Before the blocks a 1024-trial call peaked at 37 MiB. The
+        link tables and the posterior stay whole-batch, so the run's own peak
+        still grows, from 3.6 MiB at 64 trials to 11.8 MiB at 1024 (3.3x;
+        44.9 MiB and 12.5x before)."""
+        peaks = []
+        kernel = sim.batch.bp2_batch
+
+        def measured(*args):
+            beliefs, peak = _traced(kernel, *args)
+            peaks.append(peak)
+            return beliefs
+
+        monkeypatch.setattr(sim.batch, "bp2_batch", measured)
+        for size in (64, 1024):
+            run_simulate(SimConfig(m=8, n=8, snr_db=(20.0,), detectors=("BP2",), trials=size,
+                                   batch_size=size).validate())
+        assert len(peaks) == 2 and max(peaks) <= 1.25 * sim.batch._BLOCK_BYTES, peaks
 
 
 class TestIterstudy:
