@@ -14,10 +14,15 @@ All of LMMSE, FB and the pairwise links come from one Gaussian posterior per
 trial, ``factor_posterior``. A caller that runs several of them on the same
 batch factors it once and hands the result to each through the ``posterior``
 keyword; without it each kernel factors for itself, with the same bits.
+``LinkTables`` holds the three filter outputs of every ordered pair, y',
+a_jj and a_ji. The Gaussian kernels compute the coefficients of their
+recursions (u, v, u_var, v_var) from the entries they read, and the
+tables' properties of those names compute them for the whole table.
 Likewise ML, MAP and BP1 read one table of lattice residuals,
 ``lattice_residuals``, through their ``residuals`` keyword. That table is
 built from two half-lattice tables with elementwise ops only, never a BLAS
 product over the batch, so its bits, and theirs, do not depend on the batch.
+No kernel writes into its inputs, which may be read-only.
 
 Two working sets grow with the trials times the lattice or the alphabet
 squared: the lattice kernels' residual tables, L*N doubles per trial and
@@ -241,17 +246,35 @@ def map_marginals_batch(H, y, sigma2, constellation, residuals=None):
 # pairwise link coefficients
 
 
+def _recursion_coefficients(y_prime, a_diag, a_cross):
+    """(u, v, u_var, v_var) of the links given elementwise: the offset and
+    slope of the Gaussian mean recursion, u = y' / (1 + a_jj) and
+    v = -a_ji / (1 + a_jj), and of the variance recursion, 1 / (1 + a_jj)
+    and |v|^2."""
+    scale = 1.0 + a_diag
+    v = -a_cross / scale
+    return y_prime / scale, v, 1.0 / scale, np.abs(v) ** 2
+
+
 @dataclass
 class LinkTables:
-    """Ordered-pair filter outputs for a batch; index [b, target j, known i]."""
+    """Ordered-pair filter outputs for a batch; index [b, target j, known i].
+
+    Only the three filter outputs are stored. The Gaussian recursion's
+    coefficients u, v, u_var and v_var are computed from them on each read,
+    and the Gaussian kernels compute them from the entries they use."""
 
     y_prime: np.ndarray  # (B, M, M) complex
     a_diag: np.ndarray  # (B, M, M) real, equals sigma2_cond
     a_cross: np.ndarray  # (B, M, M) complex
-    u: np.ndarray
-    v: np.ndarray
-    u_var: np.ndarray
-    v_var: np.ndarray
+
+    u = property(lambda self: self._coefficients()[0])
+    v = property(lambda self: self._coefficients()[1])
+    u_var = property(lambda self: self._coefficients()[2])
+    v_var = property(lambda self: self._coefficients()[3])
+
+    def _coefficients(self):
+        return _recursion_coefficients(self.y_prime, self.a_diag, self.a_cross)
 
     def trials(self, part):
         """The tables of the trials ``part``, a slice; views, not copies."""
@@ -281,11 +304,7 @@ def link_tables(H, y, sigma2, posterior=None) -> LinkTables:
     m = H.shape[2]
     posterior = posterior or factor_posterior(H, y, sigma2)
     a_diag, a_cross, y_prime = _posterior_links(posterior, sigma2, *np.indices((m, m)))
-    scale = 1.0 + a_diag
-    u = y_prime / scale
-    v = -a_cross / scale
-    return LinkTables(y_prime=y_prime, a_diag=a_diag, a_cross=a_cross,
-                      u=u, v=v, u_var=1.0 / scale, v_var=np.abs(v) ** 2)
+    return LinkTables(y_prime=y_prime, a_diag=a_diag, a_cross=a_cross)
 
 
 def _trials_last(a):
@@ -299,8 +318,14 @@ def _translate_log_tables(links: LinkTables, points, j=slice(None), i=slice(None
                                 for a in (links.a_diag, links.a_cross, links.y_prime))
     scale = 1.0 + a_diag  # [pairs..., 1, b]
     mean = (y_prime - a_cross * points[:, None]) / scale  # [pairs..., t, b]
-    diff = points[:, None, None] - mean[..., None, :, :]
-    return np.log(scale / np.pi)[..., None, :, :] - scale[..., None, :, :] * np.abs(diff) ** 2
+    # log(scale / pi) - scale * |s - mean|^2, built in one buffer, one
+    # symbol s at a time so that no complex temporary spans all of it
+    out = np.empty(mean.shape[:-2] + (len(points),) + mean.shape[-2:])
+    for s, point in enumerate(points):
+        np.abs(point - mean, out=out[..., s, :, :])
+    np.square(out, out=out)
+    np.multiply(scale[..., None, :, :], out, out=out)
+    return np.subtract(np.log(scale / np.pi)[..., None, :, :], out, out=out)
 
 
 def bp2_batch(links: LinkTables, constellation: Constellation, iterations: int) -> np.ndarray:
@@ -309,8 +334,9 @@ def bp2_batch(links: LinkTables, constellation: Constellation, iterations: int) 
     Messages are (M, M, Q, B), [j, i, s, b] for the i -> j message about
     x_j = s. The self-message [j, j] is held at zero, so the sums over
     sources need no mask. The trials run in ``trial_blocks``: the (M, M, Q,
-    Q) log tables and their temporaries, 4.1 to 4.9 tables per trial in
-    traced runs, are the largest working set of any pairwise kernel.
+    Q) log tables and one work table of their shape, with temporaries 2.7
+    to 3.3 tables per trial in traced runs, are the largest working set of
+    any pairwise kernel. The block budget counts 5.
     """
     B, m, _ = links.a_diag.shape
     if m == 2:
@@ -325,12 +351,13 @@ def _bp2_block(links, constellation, iterations):
     size = constellation.size
     log_t = _translate_log_tables(links, constellation.points)  # [j, i, s, t, b]
     self_msg = (np.arange(m), np.arange(m))
+    work = np.empty_like(log_t)
     pi = np.full((m, m, size, B), -np.log(size))
     pi[self_msg] = 0.0
     for _ in range(iterations):
         # [j, i]: everything into i except from j
         lam = _norm_log(pi.sum(axis=1)[None] - np.swapaxes(pi, 0, 1), axis=2)
-        pi = _norm_log(_lse(log_t + lam[:, :, None], axis=3), axis=2)
+        pi = _norm_log(_lse(np.add(log_t, lam[:, :, None], out=work), axis=3, work=work), axis=2)
         pi[self_msg] = 0.0
     beliefs = np.exp(_norm_log(pi.sum(axis=1), axis=1))  # [j, s, b]
     return np.ascontiguousarray(beliefs.transpose(2, 0, 1))
@@ -393,7 +420,10 @@ def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
                             for a in _posterior_links(posterior, sigma2, tgt, np.roll(tgt, 1)))
     # [r, t, s, b] = log density of y_eff[r] given previous symbol t and target s
     mu = a_diag * points[:, None] + a_sub * points[:, None, None]
-    tables = -np.abs(y_eff - mu) ** 2 / a_diag
+    # -|y_eff - mu|^2 / a_diag, built in one buffer
+    tables = np.abs(np.subtract(y_eff, mu, out=mu))
+    np.square(tables, out=tables)
+    np.divide(np.negative(tables, out=tables), a_diag, out=tables)
     return _ring_sweep(np.swapaxes(tables, 1, 2), [tables[(r + 1) % m] for r in range(m)],
                        np.log(constellation.prior), iterations, order)
 
@@ -430,8 +460,10 @@ def gbp3g_batch(links: LinkTables, sweeps: int, order=None) -> np.ndarray:
     tgt = np.array(ring_order(m, order))
     rows = np.stack([tgt, tgt[::-1]])
     cols = np.roll(rows, 1, axis=1)  # the node each hop into rows[., r] comes from
-    off = np.concatenate([links.u[:, rows, cols], links.u_var[:, rows, cols]], axis=1)
-    slope = np.concatenate([links.v[:, rows, cols], links.v_var[:, rows, cols]], axis=1)
+    u, v, u_var, v_var = _recursion_coefficients(
+        *(a[:, rows, cols] for a in (links.y_prime, links.a_diag, links.a_cross)))
+    off = np.concatenate([u, u_var], axis=1)
+    slope = np.concatenate([v, v_var], axis=1)
     off, slope = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (off, slope))
     # acc_* hold the map of the first `hops` hops, off/slope the `step`-hop map
     acc_off = np.zeros_like(off)
@@ -543,8 +575,9 @@ def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
         # one node has no neighbours and two form a ring; both divide 0/0 below
         return gbp3g_batch(links, sweeps)
     size = m * m * B
-    u, v, uv, vv = (np.ascontiguousarray(a.transpose(2, 1, 0)).reshape(-1)
-                    for a in (links.u, links.v, links.u_var, links.v_var))
+    u, v, uv, vv = (a.reshape(-1) for a in _recursion_coefficients(
+        *(np.ascontiguousarray(a.transpose(2, 1, 0))
+          for a in (links.y_prime, links.a_diag, links.a_cross))))
     self_edge = (np.arange(m), np.arange(m))
     uv.reshape(m, m, B)[self_edge] = np.inf
     mu = np.zeros(size, dtype=complex)

@@ -6,7 +6,7 @@ order-independent, so results are byte-identical for any batch size. A batch
 draws its trials with one Philox generator moved to each trial's counter in
 turn, which yields exactly the numbers of a fresh generator per trial. All
 detectors inside one trial see the same channel, symbols and noise, which
-makes BER comparisons paired. Wall-clock columns are the one exception to
+makes BER comparisons paired. Timing columns are the one exception to
 byte-identical output; everything else is deterministic.
 
 ``simulate`` and ``iterstudy`` share one BER loop over arms, each arm a
@@ -17,10 +17,14 @@ the same draws, and ``target_errors``/``max_trials`` apply to every arm.
 
 from __future__ import annotations
 
+import collections
 import io
 import json
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +42,16 @@ LATTICE_DETECTORS = ("MAP", "ML", "BP1")
 LINKED_DETECTORS = ("BP2", "BP3", "GBP2G", "GBP3G")  # read batch.link_tables
 POSTERIOR_DETECTORS = ("LMMSE", "FB") + LINKED_DETECTORS  # read batch.factor_posterior
 DEFAULT_ITERATIONS = {"BP1": 4, "BP2": 3, "BP3": 4, "FB": 4}
+# The tasks of a generated batch, longest first, as traced on the benchmark
+# workloads: the lattice arms (ML, MAP and BP1 on shared residual tables),
+# then one per other iterative arm. LMMSE is no task; see _run_arms.
+_TASK_ORDER = ("lattice", "GBP2G", "BP2", "FB", "BP3", "GBP3G")
+# Batches of fewer trials run on one lane. numpy lets go of the GIL only in
+# loops over more than 500 elements, and a handoff of the GIL between the
+# lanes costs about as much as a loop over a few thousand; so on small
+# batches the second lane adds handoffs and hardly any overlap. Two lanes
+# ran 1.1 to 1.4x slower than one at 16 to 128 trials per batch (CHANGES.md).
+_LANE_MIN_TRIALS = 256
 
 
 # Beyond +-100 dB the detectors' arithmetic leaves the double range: at
@@ -308,6 +322,98 @@ def _check_capacity(cfg, constellation):
         batch.check_lattice_capacity(cfg.m, constellation, what="detectors " + ",".join(lattice))
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Worker:
+    """One daemon thread that runs the callables handed to ``submit`` in turn."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self._jobs = collections.deque()  # append and popleft are thread-safe
+        self._pending = threading.Semaphore(0)
+        threading.Thread(target=self._serve, name="mimobp-lane", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._pending.acquire()
+            fn, done = self._jobs.popleft()
+            try:
+                fn()
+            finally:
+                # drop the job, and the batch it holds, before the next wait
+                del fn
+                done.set()
+
+    def submit(self, fn):
+        """Queue ``fn``, which must not raise; returns an Event set once it has run."""
+        done = threading.Event()
+        self._jobs.append((fn, done))
+        self._pending.release()
+        return done
+
+
+_worker = None
+
+
+def _the_worker():
+    """The process's one worker, started on first use. A child forked after
+    the worker started has no thread behind it and starts its own. Two
+    threads that race here may start one each; the spare one stays idle."""
+    global _worker
+    if _worker is None or _worker.pid != os.getpid():
+        _worker = _Worker()
+    return _worker
+
+
+def _run_tasks(tasks, share):
+    """Call each of ``tasks`` once, on this thread and, if ``share`` holds
+    and there are two or more tasks, on the worker thread as well.
+
+    Each lane takes the next task in list order until none is left, so the
+    longest tasks, listed first, start first. Returns once both lanes are
+    idle. If tasks raised, the exception of the first of them in list order
+    is raised. A lane takes no task after one has raised, but every task
+    listed before a raising one was taken before it and has run, so the
+    exception raised does not depend on which lane ran what.
+    """
+    failed = {}
+    taken = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def lane():
+        while not failed:
+            with lock:
+                t = next(taken, None)
+            if t is None:
+                return
+            try:
+                tasks[t]()
+            except BaseException as exc:  # re-raised below, once both lanes are idle
+                failed[t] = exc
+
+    done = _the_worker().submit(lane) if share and len(tasks) > 1 else None
+    try:
+        lane()
+    finally:
+        if done is not None:
+            done.wait()
+    if failed:
+        raise failed[min(failed)]
+
+
+def _read_only(*arrays):
+    """Mark ``arrays`` read-only, so that a kernel writing into input that
+    both lanes read raises instead of racing."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def _ci95(errors, n_bits):
     p = errors / n_bits
     p_floor = max(p, 0.5 / n_bits)  # continuity floor keeps zero-error CIs positive
@@ -345,6 +451,16 @@ def _run_arms(cfg: SimConfig, arms):
     ``batch.lattice_blocks``, and each block's residual table is built once,
     outside the arm timers, and read by all of them, so no batch ever holds
     one table for all its trials. No arm's ``elapsed_s`` carries shared work.
+
+    The arms of a batch are independent, so they run as tasks on two lanes
+    (``_run_tasks``): one task for the lattice arms and one per other arm,
+    in ``_TASK_ORDER``. LMMSE, a closed-form read of the posterior, runs on
+    this thread first. The second lane, a worker thread, takes tasks only
+    when the process may run on two CPUs and the batch has at least
+    ``_LANE_MIN_TRIALS`` trials. The shared inputs are read-only by then.
+    Decisions are kept per arm and counted in arm order once both lanes are
+    done, so the records do not depend on the lanes. An arm's ``elapsed_s``
+    is the CPU time of its own thread (``time.thread_time``) in its kernels.
     """
     constellation = get_constellation(cfg.constellation)
     _check_capacity(cfg, constellation)
@@ -356,7 +472,11 @@ def _run_arms(cfg: SimConfig, arms):
     linked = any(d in LINKED_DETECTORS for d, _ in arms)
     factored = any(d in POSTERIOR_DETECTORS for d, _ in arms)
     on_lattice = [a for a, (d, _) in enumerate(arms) if d in LATTICE_DETECTORS]
-    off_lattice = [a for a, (d, _) in enumerate(arms) if d not in LATTICE_DETECTORS]
+    closed_form = [a for a, (d, _) in enumerate(arms) if d == "LMMSE"]
+    two_cpus = _cpus() > 1
+    tasked = sorted((a for a, (d, _) in enumerate(arms)
+                     if d not in LATTICE_DETECTORS and d != "LMMSE"),
+                    key=lambda a: _TASK_ORDER.index(arms[a][0]))
     records = []
     for snr_idx, snr in enumerate(cfg.snr_db):
         sigma2 = noise_variance(snr)
@@ -372,22 +492,27 @@ def _run_arms(cfg: SimConfig, arms):
             bits_true = labels[idx_true]
             posterior = batch.factor_posterior(H, y, sigma2) if factored else None
             tables = batch.link_tables(H, y, sigma2, posterior=posterior) if linked else None
+            _read_only(H, y, *(posterior or ()), *(vars(tables).values() if tables else ()))
+            decided = [[] for _ in arms]  # each arm's decisions, block by block
 
             def decide(a, part=slice(None), residuals=None):
-                t0 = time.perf_counter()
-                idx_hat = _detect_batch(arms[a][0], counts[a], H[part], y[part], sigma2,
-                                        constellation, posterior, tables, residuals,
-                                        cfg.permutation)
-                elapsed[a] += time.perf_counter() - t0
-                return idx_hat
+                t0 = time.thread_time()
+                decided[a].append(_detect_batch(arms[a][0], counts[a], H[part], y[part], sigma2,
+                                                constellation, posterior, tables, residuals,
+                                                cfg.permutation))
+                elapsed[a] += time.thread_time() - t0
 
-            decided = [[] for _ in arms]  # each arm's decisions, block by block
-            for part in batch.lattice_blocks(H, constellation) if on_lattice else ():
-                residuals = batch.lattice_residuals(H[part], y[part], constellation)
-                for a in on_lattice:
-                    decided[a].append(decide(a, part, residuals))
-            for a in off_lattice:
-                decided[a].append(decide(a))
+            def lattice():
+                for part in batch.lattice_blocks(H, constellation):
+                    residuals = batch.lattice_residuals(H[part], y[part], constellation)
+                    _read_only(residuals)
+                    for a in on_lattice:
+                        decide(a, part, residuals)
+
+            for a in closed_form:
+                decide(a)
+            _run_tasks(([lattice] if on_lattice else []) + [partial(decide, a) for a in tasked],
+                       share=two_cpus and count >= _LANE_MIN_TRIALS)
             for a, parts in enumerate(decided):
                 errors[a].append(np.sum(labels[np.concatenate(parts)] != bits_true, axis=(1, 2)))
                 totals[a] += int(errors[a][-1].sum())

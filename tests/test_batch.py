@@ -733,3 +733,40 @@ def test_trial_blocks_move_no_bit(monkeypatch, m, n, name, trials):
     assert widths == [expected] * len(blocked)
     for kernel, a in whole.items():
         assert np.array_equal(_bits(a), _bits(blocked[kernel])), kernel
+
+
+@pytest.mark.parametrize("trials", [1, 37])
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_kernels_run_on_read_only_inputs(m, trials):
+    """Every kernel reads H, y, the posterior, the link tables and the
+    residual tables without writing into them: sim._run_arms shares them,
+    read-only, between its two lanes. The lattice kernels run at 8x8 on a
+    lone trial only, whose residual table alone takes 4 MiB."""
+    c = qpsk()
+    sigma2 = 0.1
+    perm = tuple(reversed(range(m)))
+    H, _, y = generate_batch(SimConfig(m=m, n=m, seed=53), c, sigma2, 0, 0, trials)
+
+    def frozen(*arrays):
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    frozen(H, y)
+    post = frozen(*batch.factor_posterior(H, y, sigma2))
+    t = batch.link_tables(H, y, sigma2, posterior=post)
+    frozen(*vars(t).values())
+    batch.lmmse_batch(H, y, sigma2, posterior=post)
+    batch.bp2_batch(t, c, 3)
+    batch.bp3_batch(t, c, 3, order=perm)
+    batch.gbp2g_batch(t, 40)
+    batch.gbp3g_batch(t, 40, order=perm)
+    if m >= 2:
+        batch.fb_batch(H, y, sigma2, c, 3, order=perm, posterior=post)
+    if m < 8 or trials == 1:
+        for part in batch.lattice_blocks(H, c):
+            res, = frozen(batch.lattice_residuals(H[part], y[part], c))
+            batch.ml_hard_batch(H[part], y[part], sigma2, c, residuals=res)
+            batch.map_marginals_batch(H[part], y[part], sigma2, c, residuals=res)
+            batch.bp1_batch(H[part], y[part], sigma2, c, 3, residuals=res)
+            batch.bp1_batch(H[part], y[part], sigma2, c, 3, singly_connected=True, residuals=res)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -173,6 +174,34 @@ class TestExitCodes:
         assert cli.main(["simulate", "--snr-db", "8", "--trials", "1",
                          "--detectors", "ML"]) == 3
         assert "--batch-size" in capsys.readouterr().err
+
+    def test_memory_error_in_a_worker_arm_exits_three(self, monkeypatch, capsys):
+        """The arm the worker thread takes runs out of memory: exit 3, and
+        no arm is still running when main returns."""
+        from mimobp import cli, sim
+
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        monkeypatch.setattr(sim, "_LANE_MIN_TRIALS", 1)
+        detect = sim._detect_batch
+        failed = threading.Event()
+        running = []
+
+        def detect_or_fail(*args):
+            running.append(1)
+            try:
+                if threading.current_thread() is not threading.main_thread():
+                    failed.set()
+                    raise MemoryError("synthetic failure")
+                failed.wait(timeout=30)  # leave a task to the worker
+                return detect(*args)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(sim, "_detect_batch", detect_or_fail)
+        assert cli.main(["simulate", "--snr-db", "8", "--trials", "8",
+                         "--detectors", "BP2,BP3,GBP2G"]) == 3
+        assert failed.is_set() and not running
+        assert "out of memory" in capsys.readouterr().err
 
     def test_lattice_run_fits_a_1_gb_address_space(self):
         """512 trials of 4x4 QAM16 ML in one batch once asked for a 1 GiB

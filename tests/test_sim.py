@@ -1,4 +1,9 @@
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -320,6 +325,143 @@ class TestMemory:
             run_simulate(SimConfig(m=8, n=8, snr_db=(20.0,), detectors=("BP2",), trials=size,
                                    batch_size=size).validate())
         assert len(peaks) == 2 and max(peaks) <= 1.25 * sim.batch._BLOCK_BYTES, peaks
+
+
+def _lanes(monkeypatch, count):
+    """Force ``count`` lanes: one, or two whatever the CPUs and batch size."""
+    monkeypatch.setattr(sim, "_cpus", lambda: count)
+    monkeypatch.setattr(sim, "_LANE_MIN_TRIALS", 1)
+
+
+def _sans_elapsed(records):
+    return [dataclasses.replace(r, elapsed_s=0.0) for r in records]
+
+
+class TestLanes:
+    """The arms of a batch run as tasks on the main thread and one worker."""
+
+    @pytest.mark.parametrize("batch_size,trials", [(1, 12), (37, 80), (512, 600)])
+    @pytest.mark.parametrize("run,fields", [
+        (run_simulate, dict(detectors=sim.DETECTORS)),
+        (run_simulate, dict(m=8, n=8, snr_db=(20.0,),
+                            detectors=("LMMSE", "BP2", "BP3", "FB", "GBP2G", "GBP3G"))),
+        # BP3 makes a second task next to the lattice arms
+        (run_simulate, dict(m=3, n=3, constellation="QAM16", detectors=("ML", "MAP", "BP1", "BP3"))),
+        (run_iterstudy, dict(detectors=("BP2", "BP3"), iter_list=(2, 3)))],
+        ids=["4x4-all", "8x8-pairwise", "3x3-QAM16-lattice", "iterstudy"])
+    def test_records_do_not_depend_on_the_lanes(self, monkeypatch, run, fields, batch_size, trials):
+        """Records, but for elapsed_s, of one lane equal those of two."""
+        cfg = SimConfig(**{"snr_db": (4.0, 9.0), **fields}, trials=trials, batch_size=batch_size,
+                        seed=47).validate()
+        _lanes(monkeypatch, 1)
+        one = _sans_elapsed(run(cfg))
+        _lanes(monkeypatch, 2)
+        assert _sans_elapsed(run(cfg)) == one
+
+    def test_the_worker_takes_tasks_next_to_this_thread(self):
+        """Two tasks that each wait for the other finish only on two lanes."""
+        meet = threading.Barrier(2, timeout=30)
+        ran = []
+
+        def task():
+            ran.append(threading.get_ident())
+            meet.wait()
+
+        sim._run_tasks([task, task], share=True)
+        assert len(set(ran)) == 2 and threading.get_ident() in ran
+        alone = threading.Barrier(2, timeout=0.2)
+        with pytest.raises(threading.BrokenBarrierError):
+            sim._run_tasks([alone.wait, alone.wait], share=False)
+
+    def test_the_first_failed_task_in_order_is_raised_once_both_lanes_are_idle(self):
+        meet = threading.Barrier(2, timeout=30)
+        running = []
+
+        def failing(exc):
+            def task():
+                running.append(1)
+                try:
+                    meet.wait()
+                    raise exc
+                finally:
+                    running.pop()
+            return task
+
+        later = []
+        with pytest.raises(KeyError):
+            sim._run_tasks([failing(KeyError("first")), failing(ValueError("second")),
+                            lambda: later.append(1)], share=True)
+        assert not running and not later
+
+    def test_concurrent_callers_run_every_task_once(self, monkeypatch):
+        """Four threads share the one worker; a short switch interval makes
+        the lanes interleave often. A task lost or run twice would show."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ran = [[] for _ in range(4)]
+
+            def call(k):
+                sim._run_tasks([lambda i=i: ran[k].append(i) for i in range(200)], share=True)
+
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(sorted(r) == list(range(200)) for r in ran)
+
+    def test_shared_inputs_are_read_only(self, monkeypatch):
+        """A kernel that writes into the link tables both lanes read raises."""
+        def scribble(tables, sweeps):
+            tables.a_diag[0, 0, 0] = 0.0
+
+        monkeypatch.setattr(sim.batch, "gbp2g_batch", scribble)
+        with pytest.raises(ValueError, match="read-only"):
+            run_simulate(SimConfig(snr_db=(8.0,), detectors=("GBP2G",), trials=4).validate())
+
+    def test_a_forked_child_runs_after_its_parent(self, monkeypatch):
+        """The child of a process whose worker has started starts its own."""
+        _lanes(monkeypatch, 2)
+        cfg = SimConfig(snr_db=(8.0,), detectors=("BP2", "BP3", "GBP2G"), trials=40,
+                        batch_size=20, seed=49).validate()
+        expected = _sans_elapsed(run_simulate(cfg))
+        assert sim._worker is not None
+
+        def child():
+            os._exit(0 if _sans_elapsed(run_simulate(cfg)) == expected else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=120)
+        if proc.is_alive():
+            proc.kill()
+            pytest.fail("the forked child hung")
+        assert proc.exitcode == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and two CPUs")
+    def test_no_worker_on_one_cpu(self):
+        """A fresh process pinned to one CPU starts no thread; unpinned, it
+        starts the worker for the same batches."""
+        script = (
+            "import os, sys, threading\n"
+            "from mimobp import sim\n"
+            "if sys.argv[1] == 'pin':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "sim.run_simulate(sim.SimConfig(m=2, n=2, snr_db=(10.0,), detectors=('BP2', 'BP3', 'GBP2G'),\n"
+            "                               trials=512, batch_size=512).validate())\n"
+            "print(threading.active_count())\n")
+        threads = {}
+        for mode in ("pin", "free"):
+            res = subprocess.run([sys.executable, "-c", script, mode], capture_output=True,
+                                 text=True, timeout=120)
+            assert res.returncode == 0, res.stderr
+            threads[mode] = int(res.stdout)
+        assert threads == {"pin": 1, "free": 2}
 
 
 class TestIterstudy:
