@@ -56,8 +56,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .channel import Constellation
-from .errors import CapacityError
-from .exact import MAX_LATTICE_BITS, lattice_indices
+from .exact import check_lattice_capacity, lattice_indices
 from .pairwise import ring_order
 
 
@@ -139,14 +138,6 @@ def lmmse_batch(H, y, sigma2, posterior=None):
     ``posterior`` is ``factor_posterior(H, y, sigma2)`` when the caller has it."""
     W, xhat = posterior or factor_posterior(H, y, sigma2)
     return xhat, sigma2 * np.einsum("bjk,bjk->bj", W, W.conj()).real
-
-
-def check_lattice_capacity(m, constellation, what="lattice enumeration"):
-    """Raise CapacityError, before any lattice-sized allocation, past the cap."""
-    bits = m * constellation.bits_per_symbol
-    if bits > MAX_LATTICE_BITS:
-        raise CapacityError(
-            f"{what} needs a lattice of 2^{bits} points, over the 2^{MAX_LATTICE_BITS} cap")
 
 
 def _lattice_marginals(w, size, k):

@@ -6,7 +6,8 @@ Three schemes share the message plumbing here:
   single joint factor that reproduces exact marginalisation in one pass),
 * BP over the fully-connected pairwise graph (synchronous schedule), and
 * BP over the ring, a tail-biting forward/backward recursion whose two
-  directions use separately optimised links.
+  directions use separately optimised links. That recursion,
+  ``ring_recursion``, also runs the shortened-channel detector (polydiag).
 
 Messages and beliefs are probability vectors over the constellation and are
 renormalised after every update. Arithmetic runs in the log domain so
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelInstance, Constellation
-from .errors import CapacityError
-from .exact import MAX_LATTICE_BITS, llr_from_marginals
+from .exact import check_lattice_capacity, llr_from_marginals
 from .pairwise import PairwiseGraph, Topology, translate_log_table
 
 
@@ -96,8 +96,7 @@ def bp1_factor_graph(channel: ChannelInstance, constellation: Constellation, y,
     likelihood over the interfering symbols.
     """
     m, size = channel.n_tx, constellation.size
-    if m * constellation.bits_per_symbol > MAX_LATTICE_BITS:
-        raise CapacityError("factor marginalisation would exceed the lattice cap")
+    check_lattice_capacity(m, constellation, "factor marginalisation")
     y = np.asarray(y)
     shape = (size,) * m
     grids = np.indices(shape)
@@ -174,7 +173,7 @@ def bp2_fully_connected(graph: PairwiseGraph, constellation: Constellation,
     if m == 1:
         return _prior_state(constellation, m, config)
     if m == 2:
-        return _ring_pass(graph, constellation, config)
+        return bp3_ring(graph, constellation, config)
 
     points = constellation.points
     table = np.zeros((m, m, size, size))
@@ -211,37 +210,41 @@ def bp3_ring(graph: PairwiseGraph, constellation: Constellation,
     if graph.topology is not Topology.RING and graph.n_nodes != 2:
         raise ValueError("graph topology must be a ring")
     _require_uniform(constellation)
-    if graph.n_nodes == 1:
+    m, points, order = graph.n_nodes, constellation.points, graph.order
+    if m == 1:
         return _prior_state(constellation, 1, config)
-    return _ring_pass(graph, constellation, config)
+    # the hops into position r from r - 1, and from r + 1
+    into_f = [translate_log_table(graph.link(order[r], order[r - 1]), points) for r in range(m)]
+    into_b = [translate_log_table(graph.link(order[r], order[(r + 1) % m]), points)
+              for r in range(m)]
+    return ring_recursion(into_f, into_b, np.zeros(constellation.size), constellation.prior,
+                          order, config)
 
 
-def _ring_pass(graph: PairwiseGraph, constellation: Constellation,
-               config: BpConfig) -> BeliefState:
-    m, size = graph.n_nodes, constellation.size
-    order = graph.order
-    points = constellation.points
-    # forward link at position r translates order[r]'s message toward order[r+1]
-    lt_f = [translate_log_table(graph.link(order[(r + 1) % m], order[r]), points)
-            for r in range(m)]
-    lt_b = [translate_log_table(graph.link(order[(r - 1) % m], order[r]), points)
-            for r in range(m)]
+def ring_recursion(into_f, into_b, log_prior, prior, order, config: BpConfig) -> BeliefState:
+    """The tail-biting forward/backward recursion around a ring of M positions.
 
+    ``into_f[r]`` and ``into_b[r]`` are the (Q, Q) log tables [s, t] of the
+    hop into ring position r, with t the symbol of position r - 1 and r + 1
+    respectively. ``log_prior`` (Q,) is added to every incoming message and
+    to the beliefs; zeros leave them as they are. ``prior`` is every node's
+    belief before the first turn, and ``order`` the node at each position.
+    One iteration is one full turn in each direction.
+    """
+    m, size = len(into_f), len(prior)
     fwd = _uniform((m, size), size)  # fwd[r]: forward message into position r
     bwd = _uniform((m, size), size)
-    beliefs = np.tile(constellation.prior, (m, 1))
+    beliefs = np.tile(prior, (m, 1))
     deltas = []
 
     for _ in range(config.iterations):
         for r in range(m):
-            prev = (r - 1) % m
-            fwd[r] = _norm_log(_translate(lt_f[prev], fwd[prev]))
+            fwd[r] = _norm_log(_translate(into_f[r], log_prior + fwd[r - 1]))
         for r in reversed(range(m)):
-            nxt = (r + 1) % m
-            bwd[r] = _norm_log(_translate(lt_b[nxt], bwd[nxt]))
+            bwd[r] = _norm_log(_translate(into_b[r], log_prior + bwd[(r + 1) % m]))
         new_beliefs = np.empty((m, size))
         for r in range(m):
-            new_beliefs[order[r]] = _to_prob(fwd[r] + bwd[r])
+            new_beliefs[order[r]] = _to_prob(log_prior + fwd[r] + bwd[r])
         deltas.append(_delta(new_beliefs, beliefs))
         beliefs = new_beliefs
     return BeliefState(beliefs=beliefs, iterations=config.iterations,

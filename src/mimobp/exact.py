@@ -17,11 +17,12 @@ LLR_CLAMP = 40.0
 MAX_LATTICE_BITS = 24
 
 
-def _check_capacity(m_tx, bits_per_symbol):
-    if m_tx * bits_per_symbol > MAX_LATTICE_BITS:
+def check_lattice_capacity(m, constellation, what="lattice enumeration"):
+    """Raise CapacityError, before any lattice-sized allocation, past the cap."""
+    bits = m * constellation.bits_per_symbol
+    if bits > MAX_LATTICE_BITS:
         raise CapacityError(
-            f"lattice of 2^{m_tx * bits_per_symbol} points exceeds the 2^{MAX_LATTICE_BITS} cap"
-        )
+            f"{what} needs a lattice of 2^{bits} points, over the 2^{MAX_LATTICE_BITS} cap")
 
 
 def lattice_indices(m_tx, size):
@@ -48,7 +49,7 @@ def map_marginals(channel: ChannelInstance, constellation: Constellation, y) -> 
     Returns an (M, size) array whose rows sum to one. Accumulation is done in
     the log domain so high-SNR instances do not underflow.
     """
-    _check_capacity(channel.n_tx, constellation.bits_per_symbol)
+    check_lattice_capacity(channel.n_tx, constellation)
     y = np.asarray(y)
     logp, idx = _joint_log_posterior(channel, constellation, y)
     m, size = channel.n_tx, constellation.size
@@ -70,7 +71,7 @@ def ml_hard(channel: ChannelInstance, constellation: Constellation, y) -> np.nda
 
     Ties resolve to the lexicographically smallest index vector.
     """
-    _check_capacity(channel.n_tx, constellation.bits_per_symbol)
+    check_lattice_capacity(channel.n_tx, constellation)
     H = channel.H
     idx = lattice_indices(channel.n_tx, constellation.size)
     resid = np.asarray(y)[None, :] - constellation.points[idx] @ H.T
@@ -104,12 +105,20 @@ def lmmse(channel: ChannelInstance, y) -> LmmseResult:
     """Linear MMSE estimator x_hat_j = h_j^H K^{-1} y with K = H H^H + sigma2 I.
 
     The per-component minimum MSE is 1 - h_j^H K^{-1} h_j, strictly inside
-    (0, 1) for positive noise power and nonzero columns.
+    (0, 1) for positive noise power and nonzero columns. That difference
+    cancels at high SNR, so it is computed as 1 / (1 + |R^{-H} h_j|^2),
+    with K_j = K - h_j h_j^H = R^H R from a QR of [H_{-j}^H; sqrt(sigma2) I].
     """
     H = channel.H
-    K = H @ H.conj().T + channel.sigma2 * np.eye(channel.n_rx)
-    sol = np.linalg.solve(K, np.column_stack([H, np.asarray(y)]))
-    KinvH, Kinvy = sol[:, :-1], sol[:, -1]
+    n_rx, n_tx = H.shape
+    K = H @ H.conj().T + channel.sigma2 * np.eye(n_rx)
+    # y is solved next to H's columns: alone, its solve may round differently
+    Kinvy = np.linalg.solve(K, np.column_stack([H, np.asarray(y)]))[:, -1]
     estimates = H.conj().T @ Kinvy
-    mmse = 1.0 - np.real(np.sum(H.conj() * KinvH, axis=0))
+    mmse = np.empty(n_tx)
+    for j in range(n_tx):
+        S = np.concatenate([np.delete(H, j, axis=1).conj().T,
+                            np.sqrt(channel.sigma2) * np.eye(n_rx)])
+        g = np.linalg.solve(np.linalg.qr(S, mode="r").conj().T, H[:, j])
+        mmse[j] = 1.0 / (1.0 + np.vdot(g, g).real)
     return LmmseResult(estimates=estimates, mmse=mmse)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelInstance, Constellation
-from .discrete_bp import BeliefState, BpConfig, _delta, _norm_log, _to_prob, _translate, _uniform
+from .discrete_bp import BeliefState, BpConfig, ring_recursion
 from .pairwise import conditional_filter, ring_order
 
 
@@ -74,7 +74,7 @@ def forward_backward_detect(bd: BiDiagonalized, constellation: Constellation, y,
     symbol prior forward, and beliefs combine the prior with both directions'
     extrinsic messages.
     """
-    m, size = bd.a_diag.shape[0], constellation.size
+    m = bd.a_diag.shape[0]
     y_eff = bd.C.conj().T @ np.asarray(y)  # filter outputs y'_r = c_r^H y, in ring order
     points = constellation.points
 
@@ -85,25 +85,5 @@ def forward_backward_detect(bd: BiDiagonalized, constellation: Constellation, y,
                 - np.log(np.pi * bd.sigma2_eff[r]))
 
     tables = [factor_table(r) for r in range(m)]
-    prior = np.log(constellation.prior)
-
-    alpha = _uniform((m, size), size)  # forward message into position r
-    beta = _uniform((m, size), size)
-    beliefs = np.tile(constellation.prior, (m, 1))
-    deltas = []
-
-    for _ in range(config.iterations):
-        for r in range(m):
-            prev = (r - 1) % m
-            # factor r marginalises the previous symbol: sum_t f_r(t, s) p(t) alpha_prev(t)
-            alpha[r] = _norm_log(_translate(np.swapaxes(tables[r], 0, 1), prior + alpha[prev]))
-        for r in reversed(range(m)):
-            nxt = (r + 1) % m
-            beta[r] = _norm_log(_translate(tables[nxt], prior + beta[nxt]))
-        new_beliefs = np.empty((m, size))
-        for r in range(m):
-            new_beliefs[bd.order[r]] = _to_prob(prior + alpha[r] + beta[r])
-        deltas.append(_delta(new_beliefs, beliefs))
-        beliefs = new_beliefs
-    return BeliefState(beliefs=beliefs, iterations=config.iterations,
-                       delta_trace=np.array(deltas))
+    return ring_recursion([t.T for t in tables], tables[1:] + tables[:1],
+                          np.log(constellation.prior), constellation.prior, bd.order, config)

@@ -17,7 +17,6 @@ the same draws, and ``target_errors``/``max_trials`` apply to every arm.
 
 from __future__ import annotations
 
-import collections
 import io
 import json
 import os
@@ -32,7 +31,7 @@ from . import batch
 from .channel import ChannelInstance, consecutive_streams, get_constellation, trial_rng
 from .discrete_bp import BpConfig, bp1_factor_graph, bp2_fully_connected, bp3_ring, hard_decide, soft_output
 from .errors import ConfigError
-from .exact import lmmse, map_marginals, ml_hard
+from .exact import check_lattice_capacity, lmmse, map_marginals, ml_hard
 from .gaussian_bp import GbpConfig, affine_ops, convergence_metric, fixed_point, gbp2g, gbp3g
 from .pairwise import Topology, build_graph, ring_order
 from .polydiag import bidiagonalize, forward_backward_detect
@@ -316,12 +315,6 @@ def _detect_batch(detector, count, H, y, sigma2, constellation, posterior, table
     raise ConfigError(f"unknown detector {detector!r}")
 
 
-def _check_capacity(cfg, constellation):
-    lattice = [d for d in cfg.detectors if d in LATTICE_DETECTORS]
-    if lattice:
-        batch.check_lattice_capacity(cfg.m, constellation, what="detectors " + ",".join(lattice))
-
-
 def _cpus():
     """The number of CPUs this process may run on."""
     try:
@@ -330,45 +323,22 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-class _Worker:
-    """One daemon thread that runs the callables handed to ``submit`` in turn."""
-
-    def __init__(self):
-        self.pid = os.getpid()
-        self._jobs = collections.deque()  # append and popleft are thread-safe
-        self._pending = threading.Semaphore(0)
-        threading.Thread(target=self._serve, name="mimobp-lane", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self._pending.acquire()
-            fn, done = self._jobs.popleft()
-            try:
-                fn()
-            finally:
-                # drop the job, and the batch it holds, before the next wait
-                del fn
-                done.set()
-
-    def submit(self, fn):
-        """Queue ``fn``, which must not raise; returns an Event set once it has run."""
-        done = threading.Event()
-        self._jobs.append((fn, done))
-        self._pending.release()
-        return done
+_executor = None  # (pid, ThreadPoolExecutor) of the worker lane, made on first use
 
 
-_worker = None
-
-
-def _the_worker():
-    """The process's one worker, started on first use. A child forked after
-    the worker started has no thread behind it and starts its own. Two
-    threads that race here may start one each; the spare one stays idle."""
-    global _worker
-    if _worker is None or _worker.pid != os.getpid():
-        _worker = _Worker()
-    return _worker
+def _worker():
+    """The process's one-thread executor, started on first use. A child
+    forked after it started inherits no thread to run it, and the stdlib
+    does not start one there, so the child makes its own. Two threads that
+    race here may make one each; the spare one's thread ends once nothing
+    holds it."""
+    global _executor
+    if _executor is None or _executor[0] != os.getpid():
+        # imported here, so that importing mimobp loads no concurrent module
+        from concurrent.futures import ThreadPoolExecutor
+        _executor = (os.getpid(),
+                     ThreadPoolExecutor(max_workers=1, thread_name_prefix="mimobp-lane"))
+    return _executor[1]
 
 
 def _run_tasks(tasks, share):
@@ -397,12 +367,12 @@ def _run_tasks(tasks, share):
             except BaseException as exc:  # re-raised below, once both lanes are idle
                 failed[t] = exc
 
-    done = _the_worker().submit(lane) if share and len(tasks) > 1 else None
+    future = _worker().submit(lane) if share and len(tasks) > 1 else None
     try:
         lane()
     finally:
-        if done is not None:
-            done.wait()
+        if future is not None:
+            future.result()
     if failed:
         raise failed[min(failed)]
 
@@ -463,7 +433,9 @@ def _run_arms(cfg: SimConfig, arms):
     is the CPU time of its own thread (``time.thread_time``) in its kernels.
     """
     constellation = get_constellation(cfg.constellation)
-    _check_capacity(cfg, constellation)
+    lattice = [d for d in cfg.detectors if d in LATTICE_DETECTORS]
+    if lattice:
+        check_lattice_capacity(cfg.m, constellation, "detectors " + ",".join(lattice))
     labels = constellation.bit_labels
     bits_per_trial = cfg.m * constellation.bits_per_symbol
     counts = [k if k is not None else
@@ -614,69 +586,50 @@ def run_detect(cfg: SimConfig):
     detectors = list(cfg.detectors)
     if cfg.m == 1:
         detectors = [d for d in detectors if d in ("MAP", "ML", "LMMSE", "BP1")]
+    else:
+        full = build_graph(channel, y0, Topology.FULLY_CONNECTED)
+        ring = build_graph(channel, y0, Topology.RING, cfg.permutation)
+
+    def bp(det):
+        return BpConfig(iterations=cfg.iteration_count(det))
+
+    belief_oracles = {
+        "MAP": lambda: map_marginals(channel, constellation, y0),
+        "BP1": lambda: bp1_factor_graph(channel, constellation, y0, bp("BP1")).beliefs,
+        "BP2": lambda: bp2_fully_connected(full, constellation, bp("BP2")).beliefs,
+        "BP3": lambda: bp3_ring(ring, constellation, bp("BP3")).beliefs,
+        "FB": lambda: forward_backward_detect(bidiagonalize(channel, cfg.permutation),
+                                              constellation, y0, bp("FB")).beliefs,
+    }
     for det in detectors:
         entry = {}
-        if det == "MAP":
-            beliefs = map_marginals(channel, constellation, y0)
+        if det in belief_oracles:
+            beliefs = belief_oracles[det]()
+            hard = hard_decide(beliefs)
+            entry = {"beliefs": [row.tolist() for row in beliefs],
+                     "llr": [row.tolist() for row in soft_output(beliefs, constellation)]}
         elif det == "ML":
             hard = ml_hard(channel, constellation, y0)
-            report["detectors"][det] = {"hard": hard.tolist(),
-                                        "bits": constellation.bits_for(hard).tolist()}
-            continue
         elif det == "LMMSE":
             res = lmmse(channel, y0)
             hard = constellation.slice_hard(res.estimates)
-            report["detectors"][det] = {
-                "estimates": _cplx(res.estimates), "mmse": res.mmse.tolist(),
-                "hard": hard.tolist(), "bits": constellation.bits_for(hard).tolist()}
-            continue
-        elif det == "BP1":
-            state = bp1_factor_graph(channel, constellation, y0,
-                                     BpConfig(iterations=cfg.iteration_count("BP1")))
-            beliefs = state.beliefs
-        elif det == "BP2":
-            graph = build_graph(channel, y0, Topology.FULLY_CONNECTED)
-            beliefs = bp2_fully_connected(graph, constellation,
-                                          BpConfig(iterations=cfg.iteration_count("BP2"))).beliefs
-        elif det == "BP3":
-            graph = build_graph(channel, y0, Topology.RING, cfg.permutation)
-            beliefs = bp3_ring(graph, constellation,
-                               BpConfig(iterations=cfg.iteration_count("BP3"))).beliefs
-        elif det == "FB":
-            bd = bidiagonalize(channel, cfg.permutation)
-            beliefs = forward_backward_detect(bd, constellation, y0,
-                                              BpConfig(iterations=cfg.iteration_count("FB"))).beliefs
-        elif det in ("GBP2G", "GBP3G"):
-            if det == "GBP2G":
-                graph = build_graph(channel, y0, Topology.FULLY_CONNECTED)
-                trace = gbp2g(graph, GbpConfig(max_sweeps=cfg.sweeps))
-            else:
-                graph = build_graph(channel, y0, Topology.RING, cfg.permutation)
-                trace = gbp3g(graph, GbpConfig(max_sweeps=cfg.sweeps))
-            means = trace.means[-1]
-            hard = constellation.slice_hard(means)
-            report["detectors"][det] = {
-                "means": _cplx(means), "variances": trace.variances[-1].tolist(),
-                "sweeps": trace.n_sweeps, "converged": bool(trace.converged),
-                "hard": hard.tolist(), "bits": constellation.bits_for(hard).tolist()}
-            continue
+            entry = {"estimates": _cplx(res.estimates), "mmse": res.mmse.tolist()}
         else:
-            raise ConfigError(f"unknown detector {det!r}")
-        hard = hard_decide(beliefs)
-        entry.update({"beliefs": [row.tolist() for row in beliefs],
-                      "llr": [row.tolist() for row in soft_output(beliefs, constellation)],
-                      "hard": hard.tolist(), "bits": constellation.bits_for(hard).tolist()})
-        report["detectors"][det] = entry
+            gcfg = GbpConfig(max_sweeps=cfg.sweeps)
+            trace = gbp2g(full, gcfg) if det == "GBP2G" else gbp3g(ring, gcfg)
+            hard = constellation.slice_hard(trace.means[-1])
+            entry = {"means": _cplx(trace.means[-1]), "variances": trace.variances[-1].tolist(),
+                     "sweeps": trace.n_sweeps, "converged": bool(trace.converged)}
+        report["detectors"][det] = {**entry, "hard": hard.tolist(),
+                                    "bits": constellation.bits_for(hard).tolist()}
 
     if cfg.m >= 2:
-        graph = build_graph(channel, y0, Topology.FULLY_CONNECTED)
         report["links"] = [
             {"target": j, "known": i, "y_prime": _c(l.y_prime), "a_diag": l.a_jj,
              "a_cross": _c(l.a_ji), "sigma2_cond": l.sigma2_cond,
              "u": _c(l.u), "v": _c(l.v)}
-            for (j, i), l in sorted(graph.links.items())
+            for (j, i), l in sorted(full.links.items())
         ]
-        ring = build_graph(channel, y0, Topology.RING, cfg.permutation)
         ops = affine_ops(ring)
         report["contraction"] = {
             "f_V": [_c(ops.compose_forward(r).slope) for r in range(cfg.m)],

@@ -429,7 +429,7 @@ class TestLanes:
         cfg = SimConfig(snr_db=(8.0,), detectors=("BP2", "BP3", "GBP2G"), trials=40,
                         batch_size=20, seed=49).validate()
         expected = _sans_elapsed(run_simulate(cfg))
-        assert sim._worker is not None
+        assert sim._executor is not None
 
         def child():
             os._exit(0 if _sans_elapsed(run_simulate(cfg)) == expected else 1)
@@ -530,6 +530,20 @@ class TestDetectReport:
         assert len(report["links"]) == 12
         fv = np.array(report["contraction"]["f_V"])
         assert np.all(np.hypot(fv[:, 0], fv[:, 1]) < 1.0)
+
+    def test_one_graph_per_topology(self, monkeypatch):
+        """All nine detectors, the links and the ring diagnostics share one
+        fully-connected graph and one ring."""
+        calls = []
+        build = sim.build_graph
+
+        def counted(channel, y, topology, *args):
+            calls.append(topology)
+            return build(channel, y, topology, *args)
+
+        monkeypatch.setattr(sim, "build_graph", counted)
+        run_detect(SimConfig(snr_db=(10.0,), seed=14, detectors=sim.DETECTORS).validate())
+        assert sorted(t.value for t in calls) == ["fully_connected", "ring"]
 
     def test_scalar_channel_detectors_agree(self):
         cfg = SimConfig(m=1, n=2, snr_db=(10.0,), seed=15,
