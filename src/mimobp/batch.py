@@ -14,6 +14,8 @@ All of LMMSE, FB and the pairwise links come from one Gaussian posterior per
 trial, ``factor_posterior``. A caller that runs several of them on the same
 batch factors it once and hands the result to each through the ``posterior``
 keyword; without it each kernel factors for itself, with the same bits.
+The posterior is a Householder QR with the trials last, in elementwise
+numpy calls, so this module makes no LAPACK call, per trial or otherwise.
 ``LinkTables`` holds the three filter outputs of every ordered pair, y',
 a_jj and a_ji. The Gaussian kernels compute the coefficients of their
 recursions (u, v, u_var, v_var) from the entries they read, and the
@@ -43,8 +45,9 @@ complex products need care for that. numpy's complex multiply fuses one of
 its products into a multiply-add, so ``a * b`` and ``b * a`` can differ in
 the last bit. And once a temporary reaches 256 KiB, numpy evaluates
 ``named * temporary`` in place in the temporary, with the operands swapped.
-So in the Gaussian kernels a complex product whose right operand is a
-temporary is written ``np.multiply(a, b)``, whose order numpy keeps.
+So in the posterior and the Gaussian kernels a complex product whose right
+operand is a temporary is written ``np.multiply(a, b)``, whose order numpy
+keeps, and their sums over rows go through ``_sum``.
 """
 
 from __future__ import annotations
@@ -121,15 +124,46 @@ def factor_posterior(H, y, sigma2):
     """W and xhat, (B, M, M) and (B, M), of the posterior of x ~ CN(0, I):
     covariance sigma2 W W^H = sigma2 A^{-1} and mean xhat = A^{-1} H^H y,
     A = sigma2 I + H^H H = R^H R from a QR of [[H, y], [sqrt(sigma2) I, 0]].
-    R has the square root of A's condition number, so A is never formed."""
+    R has the square root of A's condition number, so A is never formed.
+
+    The QR is Householder's with the trials last, S as (N+M, M+1, B), in
+    elementwise numpy calls over rows of B: no LAPACK call per trial, and
+    no result that depends on the batch. Reflector k reads rows k..N+k
+    only; further down, column k is still zero, since no earlier reflector
+    reached those rows. Row N+k keeps its sqrt(sigma2) until step k, so
+    |R_kk| >= sqrt(sigma2) > 0 and no pivot vanishes. R's diagonal is
+    complex, so W = R^{-1} differs from a real-diagonal factor's by a
+    unitary diagonal on the right, which leaves W W^H and xhat as they are.
+    Back-substitution then solves R [W | xhat] = [I | z], z = Q^H [y; 0].
+    """
     B, n, m = H.shape
-    S = np.zeros((B, n + m, m + 1), dtype=complex)
-    S[:, :n, :m], S[:, :n, m] = H, y
-    S[:, n + np.arange(m), np.arange(m)] = np.sqrt(sigma2)
-    R = np.linalg.qr(S, mode="r")  # [[R, z], [0, r]], z = Q^H [y; 0] so xhat = R^{-1} z
-    sol = np.linalg.solve(R[:, :m, :m], np.concatenate(
-        [np.broadcast_to(np.eye(m), (B, m, m)), R[:, :m, m:]], axis=2))
-    return sol[:, :, :m], sol[:, :, m]
+    S = np.zeros((n + m, m + 1, B), dtype=complex)
+    S[:n, :m], S[:n, m] = H.transpose(1, 2, 0), y.T
+    S[n + np.arange(m), np.arange(m)] = np.sqrt(sigma2)
+    diag = np.empty((m, B), dtype=complex)
+    for k in range(m):
+        x = S[k:n + k + 1, k]  # becomes the reflector v, x + phase |x| e_0
+        norm = np.sqrt(_sum(np.square(x.real) + np.square(x.imag), 0))
+        lead = np.abs(x[0])
+        nonzero = lead > 0  # a zero leading entry takes phase 1
+        phase = np.where(nonzero, x[0], 1.0) / np.where(nonzero, lead, 1.0)
+        shift = phase * norm
+        diag[k] = -shift
+        x[0] += shift
+        # (I - v v^H / beta) on the columns right of k, beta = v^H v / 2
+        rest = S[k:n + k + 1, k + 1:]
+        w = _sum(np.multiply(x.conj()[:, None], rest), 0)
+        w /= norm * (norm + lead)
+        rest -= np.multiply(x[:, None], w)
+    inv = 1.0 / diag
+    sol = np.zeros((m, m + 1, B), dtype=complex)  # [I | z], row by row [W | xhat]
+    sol[np.arange(m), np.arange(m)] = 1.0
+    sol[:, m] = S[:m, m]
+    for i in reversed(range(m)):
+        if i + 1 < m:
+            sol[i] -= _sum(np.multiply(S[i, i + 1:m, None], sol[i + 1:]), 0)
+        sol[i] *= inv[i]
+    return sol[:, :m].transpose(2, 0, 1), sol[:, m].T
 
 
 def lmmse_batch(H, y, sigma2, posterior=None):

@@ -124,9 +124,10 @@ def main(argv=None) -> int:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        print(f"capacity error: out of memory ({str(exc) or 'no detail'}); the link tables, "
-              f"GBP2G, BP3 and FB grow with the trials per batch, so retry with a smaller "
-              f"--batch-size (MAP, ML, BP1 and BP2 run in blocks of trials whatever the batch)",
+        print(f"capacity error: out of memory ({str(exc) or 'no detail'}); the generated "
+              f"batch, the posterior, the link tables, LMMSE, FB, BP3, GBP2G and GBP3G grow "
+              f"with the trials per batch, so retry with a smaller --batch-size (MAP, ML, BP1 "
+              f"and BP2 run in blocks of trials whatever the batch)",
               file=sys.stderr)
         return 3
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -627,6 +627,46 @@ def test_lone_trial_matches_its_row_of_a_cli_sized_gbp3g_batch():
     assert not differ, differ
 
 
+@pytest.mark.parametrize("m,n,name", [(4, 6, "QAM16"), (8, 8, "QPSK")])
+def test_posterior_is_partition_exact_at_the_cli_default(m, n, name):
+    """factor_posterior on the CLI's default batch of 4096 trials, whose
+    temporaries pass 256 KiB, against lone trials and a 37-trial slice."""
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-12.0 / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(12.0,), seed=23)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 4096)
+    whole = batch.factor_posterior(H, y, sigma2)
+    parts = [slice(b, b + 1) for b in (0, 1, 2047, 4095)] + [slice(1000, 1037)]
+    differ = [(part.start, part.stop) for part in parts
+              if not all(np.array_equal(a[part], one) for a, one in
+                         zip(whole, batch.factor_posterior(H[part], y[part], sigma2)))]
+    assert not differ, differ
+
+
+@pytest.mark.parametrize("snr", [-100.0, 0.0, 100.0])
+@pytest.mark.parametrize("m,n,name", [(4, 6, "QAM16"), (3, 2, "QPSK"), (1, 1, "QPSK")])
+def test_posterior_of_degenerate_channels(m, n, name, snr):
+    """An all-zero H (trial 0), a zero first column (trial 1, whose first
+    reflector meets a zero leading entry) and a zero row (trial 2) among
+    drawn trials: finite outputs, an LMMSE MSE in (0, 1], and each lone
+    trial gets its row of the batch. A stream the channel does not reach
+    has MSE 1 exactly; rounding may put it an ulp above, as it does with a
+    LAPACK QR too, hence the 2 eps."""
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-snr / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=29)
+    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 8)
+    H[0], H[1, :, 0], H[2, 0] = 0.0, 0.0, 0.0
+    W, xhat = posterior = batch.factor_posterior(H, y, sigma2)
+    assert np.isfinite(W).all() and np.isfinite(xhat).all()
+    _, mse = batch.lmmse_batch(H, y, sigma2, posterior=posterior)
+    assert np.all(mse > 0.0) and np.all(mse <= 1.0 + 2 * np.finfo(float).eps), mse
+    assert np.allclose(mse[0], 1.0) and np.allclose(mse[1, 0], 1.0)
+    for b in range(len(H)):
+        for a, one in zip(posterior, batch.factor_posterior(H[b:b + 1], y[b:b + 1], sigma2)):
+            assert np.array_equal(a[b:b + 1], one), b
+
+
 @pytest.mark.parametrize("m,n,name", [(2, 9, "QPSK"), (3, 9, "QPSK"), (2, 2, "QPSK"),
                                       (5, 5, "QPSK"), (6, 6, "QPSK"), (3, 3, "QAM16")])
 def test_lone_trial_matches_its_row_of_a_lattice_batch(m, n, name):

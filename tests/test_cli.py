@@ -173,7 +173,12 @@ class TestExitCodes:
         monkeypatch.setattr(cli.sim, "run_simulate", boom)
         assert cli.main(["simulate", "--snr-db", "8", "--trials", "1",
                          "--detectors", "ML"]) == 3
-        assert "--batch-size" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--batch-size" in err
+        # every stage that takes the whole generated batch is named
+        for stage in ("generated batch", "posterior", "link tables", "LMMSE", "FB", "BP3",
+                      "GBP2G", "GBP3G"):
+            assert stage in err, stage
 
     def test_memory_error_in_a_worker_arm_exits_three(self, monkeypatch, capsys):
         """The arm the worker thread takes runs out of memory: exit 3, and

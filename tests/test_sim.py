@@ -212,6 +212,21 @@ class TestRunSimulate:
         run_simulate(cfg)
         assert calls == factored
 
+    def test_no_lapack_call_per_trial(self, monkeypatch):
+        """The engine factors the posterior with elementwise numpy: with
+        numpy's QR, solve and inverse made to raise, factor_posterior and a
+        run of the arms that read it still run."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called by the engine")
+
+        for name in ("qr", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        H, _, y = generate_batch(SimConfig(m=4, n=6, seed=3), qpsk(), 0.1, 0, 0, 37)
+        sim.batch.factor_posterior(H, y, 0.1)
+        cfg = SimConfig(m=4, n=6, snr_db=(8.0,), detectors=("LMMSE", "FB", "GBP3G"),
+                        trials=600, batch_size=512).validate()
+        assert [r.trials for r in run_simulate(cfg)] == [600] * 3
+
     @pytest.mark.parametrize("detectors,built", [
         (("ML", "LMMSE", "MAP", "BP1"), [32, 32, 6]), (("LMMSE", "BP2", "FB"), [])])
     def test_one_residual_table_per_generated_batch(self, monkeypatch, detectors, built):
