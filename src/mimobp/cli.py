@@ -8,6 +8,7 @@ Subcommands: simulate (BER sweep), converge (Gaussian-BP traces), detect
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -76,9 +77,7 @@ def build_parser():
     return parser
 
 
-_CFG_KEYS = ("seed", "snr_db", "detectors", "trials", "target_errors", "max_trials",
-             "iterations", "permutation", "out", "fmt", "m", "n", "constellation",
-             "batch_size", "gbp_sweeps", "channels", "sweeps", "iter_list")
+_CFG_KEYS = tuple(f.name for f in dataclasses.fields(sim.SimConfig))
 
 
 def _config_from_args(args) -> sim.SimConfig:

@@ -70,28 +70,20 @@ class RingAffineOps:
     def n_nodes(self):
         return len(self.order)
 
-    def _turn(self, ops, positions):
+    def _turn(self, ops, position: int, step: int) -> AffineOp:
+        """Composition of ``ops`` round the ring from ``position``, ``step`` = +-1."""
+        m = self.n_nodes
         acc = IDENTITY_OP
-        for k in positions:
-            acc = ops[k].after(acc)
+        for k in range(m):
+            acc = ops[(position + step * k) % m].after(acc)
         return acc
 
     def compose_forward(self, position: int) -> AffineOp:
         """Full-turn operator for the forward mean into ``position``."""
-        m = self.n_nodes
-        return self._turn(self.forward_mean, [(position + k) % m for k in range(m)])
+        return self._turn(self.forward_mean, position, 1)
 
     def compose_backward(self, position: int) -> AffineOp:
-        m = self.n_nodes
-        return self._turn(self.backward_mean, [(position - k) % m for k in range(m)])
-
-    def compose_forward_var(self, position: int) -> AffineOp:
-        m = self.n_nodes
-        return self._turn(self.forward_var, [(position + k) % m for k in range(m)])
-
-    def compose_backward_var(self, position: int) -> AffineOp:
-        m = self.n_nodes
-        return self._turn(self.backward_var, [(position - k) % m for k in range(m)])
+        return self._turn(self.backward_mean, position, -1)
 
     def contraction_bound(self) -> float:
         """Product of s2/(1+s2) over the forward links; dominates |slope|."""
@@ -143,8 +135,8 @@ def fixed_point(graph: PairwiseGraph) -> RingFixedPoint:
     m = ops.n_nodes
     fwd = np.array([ops.compose_forward(r).fixed_point() for r in range(m)])
     bwd = np.array([ops.compose_backward(r).fixed_point() for r in range(m)])
-    fwd_var = np.array([ops.compose_forward_var(r).fixed_point().real for r in range(m)])
-    bwd_var = np.array([ops.compose_backward_var(r).fixed_point().real for r in range(m)])
+    fwd_var = np.array([ops._turn(ops.forward_var, r, 1).fixed_point().real for r in range(m)])
+    bwd_var = np.array([ops._turn(ops.backward_var, r, -1).fixed_point().real for r in range(m)])
     return RingFixedPoint(forward=fwd, backward=bwd, forward_var=fwd_var,
                           backward_var=bwd_var, order=ops.order)
 
@@ -199,23 +191,19 @@ def gbp3g(graph: PairwiseGraph, config: GbpConfig = GbpConfig()) -> GbpTrace:
                         message_means=np.zeros(1, dtype=complex), message_vars=np.ones(1),
                         backward_means=np.zeros(1, dtype=complex), backward_vars=np.ones(1),
                         order=graph.order)
-    _ring_like(graph)
-    m, order = graph.n_nodes, graph.order
+    ops = affine_ops(graph)
+    m, order = ops.n_nodes, ops.order
     inv = np.argsort(order)
 
-    u_f = np.empty(m, dtype=complex)
-    v_f = np.empty(m, dtype=complex)
-    uv_f = np.empty(m)
-    vv_f = np.empty(m)
-    u_b = np.empty(m, dtype=complex)
-    v_b = np.empty(m, dtype=complex)
-    uv_b = np.empty(m)
-    vv_b = np.empty(m)
-    for r in range(m):
-        lf = graph.link(order[r], order[(r - 1) % m])  # emits the forward message into r
-        lb = graph.link(order[r], order[(r + 1) % m])  # emits the backward message into r
-        u_f[r], v_f[r], uv_f[r], vv_f[r] = lf.u, lf.v, lf.u_var, lf.v_var
-        u_b[r], v_b[r], uv_b[r], vv_b[r] = lb.u, lb.v, lb.u_var, lb.v_var
+    def into(hops, step, dtype):
+        """Offsets and slopes of the hop into each position r, which is op r - step."""
+        return (np.roll(np.array([op.offset for op in hops], dtype=dtype), step),
+                np.roll(np.array([op.slope for op in hops], dtype=dtype), step))
+
+    u_f, v_f = into(ops.forward_mean, 1, complex)
+    uv_f, vv_f = into(ops.forward_var, 1, float)
+    u_b, v_b = into(ops.backward_mean, -1, complex)
+    uv_b, vv_b = into(ops.backward_var, -1, float)
 
     mu_f = np.full(m, config.init_mean, dtype=complex)
     var_f = np.full(m, config.init_var)

@@ -53,6 +53,10 @@ _TASK_ORDER = ("lattice", "GBP2G", "BP2", "FB", "BP3", "GBP3G")
 _LANE_MIN_TRIALS = 256
 
 
+# Left out of the provenance line and the JSON config: the output path, and
+# batch_size, which has no effect on results, so outputs match across batchings.
+_UNECHOED = ("out", "batch_size")
+
 # Beyond +-100 dB the detectors' arithmetic leaves the double range: at
 # 1600 dB and -200 dB the kernels divide 0 by 0 or overflow and count NaN
 # beliefs as decisions.
@@ -122,6 +126,8 @@ class SimConfig:
             raise ConfigError("iter_list must not be empty")
         if min(self.iter_list) < 1:
             raise ConfigError(f"iter_list counts must be >= 1, got {self.iter_list}")
+        if self.target_errors is not None and self.target_errors < 1:
+            raise ConfigError("target_errors must be >= 1")
         if self.max_trials is not None and self.max_trials < self.trials:
             raise ConfigError(f"max_trials ({self.max_trials}) must be >= trials ({self.trials})")
         if not 0 <= self.seed < 2 ** 64:
@@ -151,10 +157,7 @@ class SimConfig:
     def echo(self) -> str:
         items = []
         for key, value in sorted(asdict(self).items()):
-            # batch_size is a parallelism knob with no effect on results, so
-            # it stays out of the provenance line to keep outputs identical
-            # across partitionings
-            if value is None or key in ("out", "batch_size"):
+            if value is None or key in _UNECHOED:
                 continue
             if isinstance(value, dict):
                 value = ";".join(f"{k}:{v}" for k, v in sorted(value.items())) or "default"
@@ -323,27 +326,10 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-_executor = None  # (pid, ThreadPoolExecutor) of the worker lane, made on first use
-
-
-def _worker():
-    """The process's one-thread executor, started on first use. A child
-    forked after it started inherits no thread to run it, and the stdlib
-    does not start one there, so the child makes its own. Two threads that
-    race here may make one each; the spare one's thread ends once nothing
-    holds it."""
-    global _executor
-    if _executor is None or _executor[0] != os.getpid():
-        # imported here, so that importing mimobp loads no concurrent module
-        from concurrent.futures import ThreadPoolExecutor
-        _executor = (os.getpid(),
-                     ThreadPoolExecutor(max_workers=1, thread_name_prefix="mimobp-lane"))
-    return _executor[1]
-
-
 def _run_tasks(tasks, share):
     """Call each of ``tasks`` once, on this thread and, if ``share`` holds
-    and there are two or more tasks, on the worker thread as well.
+    and there are two or more tasks, on a worker thread as well, started
+    for this call and joined before it returns.
 
     Each lane takes the next task in list order until none is left, so the
     longest tasks, listed first, start first. Returns once both lanes are
@@ -367,12 +353,14 @@ def _run_tasks(tasks, share):
             except BaseException as exc:  # re-raised below, once both lanes are idle
                 failed[t] = exc
 
-    future = _worker().submit(lane) if share and len(tasks) > 1 else None
+    worker = threading.Thread(target=lane, name="mimobp-lane") if share and len(tasks) > 1 else None
+    if worker is not None:
+        worker.start()
     try:
         lane()
     finally:
-        if future is not None:
-            future.result()
+        if worker is not None:
+            worker.join()
     if failed:
         raise failed[min(failed)]
 
@@ -425,7 +413,7 @@ def _run_arms(cfg: SimConfig, arms):
     The arms of a batch are independent, so they run as tasks on two lanes
     (``_run_tasks``): one task for the lattice arms and one per other arm,
     in ``_TASK_ORDER``. LMMSE, a closed-form read of the posterior, runs on
-    this thread first. The second lane, a worker thread, takes tasks only
+    this thread first. The second lane, a per-batch thread, takes tasks only
     when the process may run on two CPUs and the batch has at least
     ``_LANE_MIN_TRIALS`` trials. The shared inputs are read-only by then.
     Decisions are kept per arm and counted in arm order once both lanes are
@@ -705,9 +693,8 @@ def render_csv(command: str, cfg: SimConfig, records) -> str:
 def render_json(command: str, cfg: SimConfig, records) -> str:
     payload = {
         "command": command,
-        # batch_size stays out for the reason given in SimConfig.echo
         "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(cfg).items() if k not in ("out", "batch_size")},
+                   for k, v in asdict(cfg).items() if k not in _UNECHOED},
         "records": records if isinstance(records, dict) else [asdict(r) for r in records],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -52,6 +52,8 @@ class TestExitCodes:
         ("converge", "--sweeps", "0"),
         ("converge", "--channels", "0"),
         ("iterstudy", "--iter-list", "0,-2"),
+        ("simulate", "--target-errors", "0"),
+        ("simulate", "--target-errors", "-5"),
     ])
     def test_sweep_count_below_one_exits_two(self, args):
         res = run_cli(*args, "--trials", "50", "--snr-db", "10")

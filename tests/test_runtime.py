@@ -20,8 +20,8 @@ def run_python(*args, timeout):
 
 
 def test_import_loads_no_scipy():
-    """numpy is the only runtime dependency, and the worker lane's executor
-    loads only once a batch first runs on two lanes."""
+    """numpy is the only runtime dependency, and the lanes need no
+    concurrent.futures: a batch's worker is a plain thread."""
     res = run_python("-c", "import sys, mimobp; print(sorted(m for m in sys.modules "
                      "if m.split('.')[0] in ('scipy', 'concurrent')))", timeout=60)
     assert res.returncode == 0, res.stderr

@@ -439,12 +439,11 @@ class TestLanes:
             run_simulate(SimConfig(snr_db=(8.0,), detectors=("GBP2G",), trials=4).validate())
 
     def test_a_forked_child_runs_after_its_parent(self, monkeypatch):
-        """The child of a process whose worker has started starts its own."""
+        """A child forked after its parent ran batches on two lanes runs them too."""
         _lanes(monkeypatch, 2)
         cfg = SimConfig(snr_db=(8.0,), detectors=("BP2", "BP3", "GBP2G"), trials=40,
                         batch_size=20, seed=49).validate()
         expected = _sans_elapsed(run_simulate(cfg))
-        assert sim._executor is not None
 
         def child():
             os._exit(0 if _sans_elapsed(run_simulate(cfg)) == expected else 1)
@@ -461,22 +460,28 @@ class TestLanes:
                         reason="needs CPU affinity and two CPUs")
     def test_no_worker_on_one_cpu(self):
         """A fresh process pinned to one CPU starts no thread; unpinned, it
-        starts the worker for the same batches."""
+        starts a worker for the same batches. No thread outlives the run."""
         script = (
             "import os, sys, threading\n"
             "from mimobp import sim\n"
             "if sys.argv[1] == 'pin':\n"
             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "starts, start = [], threading.Thread.start\n"
+            "def counted(self):\n"
+            "    starts.append(self.name)\n"
+            "    start(self)\n"
+            "threading.Thread.start = counted\n"
             "sim.run_simulate(sim.SimConfig(m=2, n=2, snr_db=(10.0,), detectors=('BP2', 'BP3', 'GBP2G'),\n"
             "                               trials=512, batch_size=512).validate())\n"
-            "print(threading.active_count())\n")
-        threads = {}
+            "print(len(starts), threading.active_count())\n")
+        runs = {}
         for mode in ("pin", "free"):
             res = subprocess.run([sys.executable, "-c", script, mode], capture_output=True,
                                  text=True, timeout=120)
             assert res.returncode == 0, res.stderr
-            threads[mode] = int(res.stdout)
-        assert threads == {"pin": 1, "free": 2}
+            runs[mode] = tuple(int(v) for v in res.stdout.split())
+        assert runs["pin"] == (0, 1)
+        assert runs["free"][0] >= 1 and runs["free"][1] == 1, runs
 
 
 class TestIterstudy:
