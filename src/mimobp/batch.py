@@ -93,17 +93,15 @@ def _sum(a, axis, keepdims=False):
     With more than one trial on the trailing axis, numpy adds the slices
     along ``axis`` one after another. With a trailing axis of 1 it drops
     that axis and may sum ``axis`` pairwise instead, which from 8 terms on
-    rounds differently; adding the slices here in order keeps a lone
-    trial's bits equal to its row of a larger batch.
+    rounds differently; a running sum, whose last slice is taken, adds the
+    slices in order and keeps a lone trial's bits equal to its row of a
+    larger batch.
     """
     axis %= a.ndim
-    if a.shape[-1] != 1 or axis == a.ndim - 1:
+    if a.shape[-1] != 1 or axis == a.ndim - 1 or a.shape[axis] == 0:
         return np.sum(a, axis=axis, keepdims=keepdims)
-    parts = np.moveaxis(a, axis, 0)
-    out = parts[0].copy()
-    for part in parts[1:]:
-        out += part
-    return np.expand_dims(out, axis) if keepdims else out
+    last = np.add.accumulate(a, axis=axis)[(slice(None),) * axis + (slice(-1, None),)]
+    return last if keepdims else np.squeeze(last, axis=axis)
 
 
 def _lse(a, axis, work=None):
@@ -461,51 +459,66 @@ def fb_batch(H, y, sigma2, constellation: Constellation, iterations: int,
 # recursion mixes messages nonlinearly and still sweeps.
 
 
-def _times_rolled(a, b, shift):
-    """a * np.roll(b, shift, axis=1), computed in the rolled copy with ``a``
-    kept as the left operand whatever the size (see the module docstring)."""
-    rolled = np.roll(b, shift, axis=1)
-    return np.multiply(a, rolled, out=rolled)
+def _times_rolled(a, b, shift, out):
+    """a * np.roll(b, shift, axis=1) into ``out``, which may be ``a`` but not
+    ``b``. No rolled copy is made: the two slices of the roll are multiplied
+    in place, with ``a`` kept as the left operand (see the module docstring)."""
+    s = shift % b.shape[1]
+    if not s:
+        return np.multiply(a, b, out=out)
+    np.multiply(a[:, s:], b[:, :-s], out=out[:, s:])
+    np.multiply(a[:, :s], b[:, -s:], out=out[:, :s])
+    return out
+
+
+def _compose_hops(off, slope, sweeps):
+    """The ``sweeps``-hop maps (offset, slope) of a stack of ring chains, by
+    recursive doubling from their one-hop maps ``off`` and ``slope``, which
+    it overwrites. Every array is (chains, M, B) over ring positions.
+
+    The h-hop map into position r is mu -> offset[r] + slope[r] * mu, with
+    mu the message into position r - h. Applied after a k-hop map, it gives
+    the (h + k)-hop map with offset offset[r] + slope[r] * offset'[r - h]
+    and slope slope[r] * slope'[r - h].
+    """
+    # acc_* hold the map of the first `hops` hops, off/slope the `step`-hop map
+    acc_off = np.zeros_like(off)
+    acc_slope = np.ones_like(slope)
+    term, spare = np.empty_like(off), np.empty_like(slope)
+    hops, step = 0, 1
+    while sweeps:
+        if sweeps & 1:
+            np.add(acc_off, _times_rolled(acc_slope, off, hops, term), out=acc_off)
+            _times_rolled(acc_slope, slope, hops, acc_slope)
+            hops += step
+        sweeps >>= 1
+        if sweeps:
+            np.add(off, _times_rolled(slope, off, step, term), out=off)
+            slope, spare = _times_rolled(slope, slope, step, spare), slope
+            step *= 2
+    return acc_off, acc_slope
 
 
 def gbp3g_batch(links: LinkTables, sweeps: int, order=None) -> np.ndarray:
     """Belief means of the ring Gaussian recursion after ``sweeps`` hops.
 
-    The four chains (forward mean, backward mean, forward variance, backward
-    variance) are stacked as (4, M, B) over ring positions; the backward
-    chains run over the reversed ring, so every chain reads position r - 1.
-    The h-hop map into position r is mu -> offset[r] + slope[r] * mu, with
-    mu the message into position r - h. Applied after a k-hop map, it gives
-    the (h + k)-hop map with offset offset[r] + slope[r] * offset'[r - h]
-    and slope slope[r] * slope'[r - h]. The messages start at mean 0 and
-    variance 1, so after ``sweeps`` hops the means are the offsets and the
-    variances are offset + slope.
+    The two mean chains (forward, backward) form a complex (2, M, B) stack
+    over ring positions, and the two variance chains a real one; the
+    backward chains run over the reversed ring, so every chain reads
+    position r - 1. Each stack is composed by ``_compose_hops``. The
+    messages start at mean 0 and variance 1, so after ``sweeps`` hops the
+    means are the offsets and the variances are offset + slope.
     """
     B, m, _ = links.a_diag.shape
     tgt = np.array(ring_order(m, order))
     rows = np.stack([tgt, tgt[::-1]])
     cols = np.roll(rows, 1, axis=1)  # the node each hop into rows[., r] comes from
-    u, v, u_var, v_var = _recursion_coefficients(
+    coefficients = _recursion_coefficients(
         *(a[:, rows, cols] for a in (links.y_prime, links.a_diag, links.a_cross)))
-    off = np.concatenate([u, u_var], axis=1)
-    slope = np.concatenate([v, v_var], axis=1)
-    off, slope = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (off, slope))
-    # acc_* hold the map of the first `hops` hops, off/slope the `step`-hop map
-    acc_off = np.zeros_like(off)
-    acc_slope = np.ones_like(slope)
-    hops, step = 0, 1
-    while sweeps:
-        if sweeps & 1:
-            acc_off = acc_off + _times_rolled(acc_slope, off, hops)
-            acc_slope = _times_rolled(acc_slope, slope, hops)
-            hops += step
-        sweeps >>= 1
-        if sweeps:
-            off = off + _times_rolled(slope, off, step)
-            slope = _times_rolled(slope, slope, step)
-            step *= 2
-    mu_f, mu_b = acc_off[0], acc_off[1, ::-1]
-    var = (acc_off[2:] + acc_slope[2:]).real
+    u, v, u_var, v_var = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in coefficients)
+    mu, _ = _compose_hops(u, v, sweeps)
+    var = np.add(*_compose_hops(u_var, v_var, sweeps))
+    mu_f, mu_b = mu[0], mu[1, ::-1]
     var_f, var_b = var[0], var[1, ::-1]
     bel = (mu_f / var_f + mu_b / var_b) / (1.0 / var_f + 1.0 / var_b)
     out = np.empty((B, m), dtype=complex)

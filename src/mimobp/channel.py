@@ -184,15 +184,21 @@ def consecutive_streams(g: np.random.Generator, first, count, *rest):
     equal those of a fresh ``trial_rng(seed, first + b, *rest)``: Philox is
     counter-based and a stream is just its counter. Every id is checked here,
     before the iterator is returned, with ``trial_rng``'s ``ValueError``.
+
+    The state is built once, and each step sets one counter word and assigns
+    it. It holds plain Python ints, not numpy arrays: the state setter reads
+    the counter, key and buffer one element at a time, and each read of a
+    numpy array makes a numpy scalar, which made the setter three times
+    slower.
     """
     counter = _stream_counter((first, *rest))
     if count > 0:
         _stream_counter((first + count - 1, *rest))
-    words = np.array([(counter >> s) & (2 ** 64 - 1) for s in range(0, 256, 64)], dtype=np.uint64)
+    words = [(counter >> s) & (2 ** 64 - 1) for s in range(0, 256, 64)]
     bg = g.bit_generator
     state = bg.state
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    state["state"]["counter"] = words
+    state.update(buffer=state["buffer"].tolist(), buffer_pos=4, has_uint32=0, uinteger=0)
+    state["state"] = {"counter": words, "key": state["state"]["key"].tolist()}
 
     def steps():
         for b in range(count):

@@ -269,10 +269,12 @@ def generate_batch(cfg: SimConfig, constellation, sigma2, snr_idx, start, count)
     W = np.empty((count, 2 * n * m))
     U = np.empty((count, m))
     WN = np.empty((count, 2 * n))
-    for b in trials:
-        g.standard_normal(out=W[b])
-        g.random(out=U[b])
-        g.standard_normal(out=WN[b])
+    normal, uniform = g.standard_normal, g.random
+    # zip moves g to trial b's stream before it takes b's rows
+    for _, w, u, wn in zip(trials, W, U, WN):
+        normal(out=w)
+        uniform(out=u)
+        normal(out=wn)
     H = (W[:, : n * m] + 1j * W[:, n * m:]).reshape(count, n, m) / np.sqrt(2.0)
     cum = np.cumsum(constellation.prior)
     idx = np.minimum(np.searchsorted(cum, U, side="right"), constellation.size - 1)

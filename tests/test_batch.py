@@ -16,7 +16,7 @@ from mimobp import (BpConfig, CapacityError, ChannelInstance, GbpConfig, Topolog
 from mimobp import batch, exact
 from mimobp.batch import LinkTables
 from mimobp.exact import lattice_indices
-from mimobp.pairwise import PairwiseGraph, PairwiseLink, build_link
+from mimobp.pairwise import PairwiseGraph, PairwiseLink, build_link, ring_order
 from mimobp.sim import SimConfig, generate_batch
 
 SIGMA2 = 0.1
@@ -392,6 +392,90 @@ def test_gaussian_batches_independent_of_partitioning():
                    lambda tables: batch.gbp3g_batch(tables, 200, order=order))
         for kernel in kernels:
             assert np.array_equal(_bits(kernel(t)), _bits(np.concatenate([kernel(p) for p in parts])))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lone_trial_sum_adds_rows_in_order(dtype):
+    """With one trial on the trailing axis, batch._sum adds the slices along
+    ``axis`` one after another, as numpy does for a wider batch; an empty
+    axis sums to zeros."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((9, 12, 1)) * 10.0 ** rng.integers(-8, 8, (9, 12, 1))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal(a.shape)
+    for axis in (0, 1, -2):
+        parts = np.moveaxis(a, axis, 0)
+        want = parts[0].copy()
+        for part in parts[1:]:
+            want += part
+        for keepdims in (False, True):
+            got = batch._sum(a, axis, keepdims=keepdims)
+            ref = np.expand_dims(want, axis) if keepdims else want
+            assert got.shape == ref.shape, (axis, keepdims)
+            assert np.array_equal(_bits(got), _bits(ref)), (axis, keepdims)
+    empty = batch._sum(np.ones((3, 0, 1), dtype), 1, keepdims=True)
+    assert empty.shape == (3, 1, 1) and not np.any(empty)
+
+
+def _stacked_gbp3g(links, sweeps, order=None):
+    """The ring Gaussian kernel composed as four complex chains (forward and
+    backward mean, forward and backward variance) stacked as (4, M, B), each
+    doubling step multiplying a rolled copy: the composition whose bits
+    gbp3g_batch must keep."""
+    B, m, _ = links.a_diag.shape
+    tgt = np.array(ring_order(m, order))
+    rows = np.stack([tgt, tgt[::-1]])
+    cols = np.roll(rows, 1, axis=1)
+    u, v, u_var, v_var = (a[:, rows, cols] for a in (links.u, links.v, links.u_var, links.v_var))
+    off, slope = (np.ascontiguousarray(np.concatenate(pair, axis=1).transpose(1, 2, 0))
+                  for pair in ((u, u_var), (v, v_var)))
+
+    def times_rolled(a, b, shift):
+        rolled = np.roll(b, shift, axis=1)
+        return np.multiply(a, rolled, out=rolled)
+
+    acc_off, acc_slope = np.zeros_like(off), np.ones_like(slope)
+    hops, step = 0, 1
+    while sweeps:
+        if sweeps & 1:
+            acc_off = acc_off + times_rolled(acc_slope, off, hops)
+            acc_slope = times_rolled(acc_slope, slope, hops)
+            hops += step
+        sweeps >>= 1
+        if sweeps:
+            off = off + times_rolled(slope, off, step)
+            slope = times_rolled(slope, slope, step)
+            step *= 2
+    var = (acc_off[2:] + acc_slope[2:]).real
+    mu_f, mu_b, var_f, var_b = acc_off[0], acc_off[1, ::-1], var[0], var[1, ::-1]
+    bel = (mu_f / var_f + mu_b / var_b) / (1.0 / var_f + 1.0 / var_b)
+    out = np.empty((B, m), dtype=complex)
+    out[:, tgt] = bel.T
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_gbp3g_keeps_every_bit(m):
+    """gbp3g_batch composes the mean chains as one complex stack and the
+    variance chains as one real stack, without rolled copies; its means must
+    equal the four-chain complex stack's bit for bit, over SNR, sweep counts,
+    ring orders and batch sizes (at M <= 2 through gbp2g_batch too)."""
+    c = qpsk()
+    orders = (None, tuple(int(k) for k in np.random.default_rng(m).permutation(m)))
+    for snr in (-100.0, -10.0, 20.0, 40.0, 100.0):
+        sigma2 = 10.0 ** (-snr / 10.0)
+        cfg = SimConfig(m=m, n=m, snr_db=(snr,), seed=29)
+        for trials in (1, 37, 300):
+            H, _, y = generate_batch(cfg, c, sigma2, 0, 0, trials)
+            t = batch.link_tables(H, y, sigma2)
+            for sweeps in sorted({1, 2, m, 2 * m - 1, 199, 200, 257}):
+                for order in orders:
+                    want = _bits(_stacked_gbp3g(t, sweeps, order))
+                    got = _bits(batch.gbp3g_batch(t, sweeps, order=order))
+                    assert np.array_equal(got, want), (snr, trials, sweeps, order)
+                if m <= 2:
+                    assert np.array_equal(_bits(batch.gbp2g_batch(t, sweeps)),
+                                          _bits(_stacked_gbp3g(t, sweeps))), (snr, trials, sweeps)
 
 
 def _plain_gbp2g_states(links, sweeps):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mimobp import (ChannelInstance, draw_channel, get_constellation, qam16,
                     qpsk, transmit, trial_rng)
+from mimobp.channel import consecutive_streams
 
 
 class TestDrawChannel:
@@ -127,3 +128,28 @@ class TestTrialRng:
     def test_id_range_checked(self):
         with pytest.raises(ValueError):
             trial_rng(1, -1)
+
+    @pytest.mark.parametrize("first, count, rest", [(0, 3, (2,)), (2 ** 64 - 3, 3, (1,)),
+                                                    (5, 2, (2 ** 64 - 1,))])
+    def test_consecutive_streams_start_afresh_from_a_used_generator(self, first, count, rest):
+        """Each stream equals a fresh trial_rng draw, though the generator
+        holds half a word of uint32s and a part-used buffer of doubles on
+        entry and before every step."""
+        g = trial_rng(11, first, *rest)
+
+        def use(gen):
+            words = gen.integers(0, 2 ** 32, size=1, dtype=np.uint32)
+            doubles = gen.random(5)
+            state = gen.bit_generator.state
+            assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+            return words, doubles
+
+        use(g)
+        steps = 0
+        for b in consecutive_streams(g, first, count, *rest):
+            fresh = trial_rng(11, first + b, *rest)
+            assert np.array_equal(g.standard_normal(7), fresh.standard_normal(7))
+            for got, want in zip(use(g), use(fresh)):
+                assert np.array_equal(got, want)
+            steps += 1
+        assert steps == count
