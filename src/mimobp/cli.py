@@ -38,7 +38,8 @@ def _common_flags(p):
     p.add_argument("--target-errors", type=int, dest="target_errors",
                    help="keep running past --trials until this many bit errors")
     p.add_argument("--max-trials", type=int, dest="max_trials",
-                   help="hard trial cap in target-error mode, at least --trials")
+                   help="hard trial cap in target-error mode, at least --trials "
+                        "(default 100 x --trials)")
     p.add_argument("--iterations", type=int, help="iteration count for the iterative detectors")
     p.add_argument("--permutation", type=_int_list, help="ring order, 0-based, e.g. 0,2,1,3")
     p.add_argument("--out", help="output path (stdout when omitted)")
@@ -101,21 +102,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "simulate":
-            records = sim.run_simulate(cfg)
-            _emit(sim.render("simulate", cfg, records), cfg.out)
-        elif args.command == "converge":
-            records = sim.run_converge(cfg)
-            _emit(sim.render("converge", cfg, records), cfg.out)
-        elif args.command == "iterstudy":
-            records = sim.run_iterstudy(cfg)
-            _emit(sim.render("iterstudy", cfg, records), cfg.out)
-        elif args.command == "detect":
+        if args.command == "detect":
             report = sim.run_detect(cfg)
             if args.dump or cfg.fmt == "json":
                 _emit(sim.render_json("detect", cfg, report), cfg.out)
             else:
                 _emit(sim.format_report(report) + "\n", cfg.out)
+        else:
+            records = getattr(sim, f"run_{args.command}")(cfg)  # simulate, converge, iterstudy
+            _emit(sim.render(args.command, cfg, records), cfg.out)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

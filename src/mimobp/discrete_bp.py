@@ -150,19 +150,13 @@ def _require_uniform(constellation):
         )
 
 
-def _prior_state(constellation, m, config):
-    return BeliefState(beliefs=np.tile(constellation.prior, (m, 1)),
-                       iterations=config.iterations,
-                       delta_trace=np.zeros(config.iterations))
-
-
 def bp2_fully_connected(graph: PairwiseGraph, constellation: Constellation,
                         config: BpConfig) -> BeliefState:
     """Synchronous BP over the fully-connected pairwise graph.
 
     Each directed edge first collects the extrinsic product of the other
     incoming messages, then pushes it through the pair's translation kernel.
-    For M = 2 the graph coincides with the two-node ring and the schedule
+    For M <= 2 the graph coincides with the ring and the schedule
     degenerates to the ring recursion, which this routine delegates to so
     the two detectors stay exactly equal there.
     """
@@ -170,9 +164,7 @@ def bp2_fully_connected(graph: PairwiseGraph, constellation: Constellation,
         raise ValueError("graph topology must be fully connected")
     _require_uniform(constellation)
     m, size = graph.n_nodes, constellation.size
-    if m == 1:
-        return _prior_state(constellation, m, config)
-    if m == 2:
+    if m <= 2:
         return bp3_ring(graph, constellation, config)
 
     points = constellation.points
@@ -205,14 +197,16 @@ def bp3_ring(graph: PairwiseGraph, constellation: Constellation,
     One iteration is one complete turn: the forward messages propagate
     sequentially all the way around the ring, then the backward messages do
     the same in the opposite direction. The two directions use their own
-    links, so their translated observations differ in general.
+    links, so their translated observations differ in general. Any graph of
+    at most two nodes is a ring; a single node keeps its prior.
     """
-    if graph.topology is not Topology.RING and graph.n_nodes != 2:
+    if graph.topology is not Topology.RING and graph.n_nodes > 2:
         raise ValueError("graph topology must be a ring")
     _require_uniform(constellation)
     m, points, order = graph.n_nodes, constellation.points, graph.order
     if m == 1:
-        return _prior_state(constellation, 1, config)
+        return BeliefState(beliefs=np.tile(constellation.prior, (1, 1)),
+                           iterations=config.iterations, delta_trace=np.zeros(config.iterations))
     # the hops into position r from r - 1, and from r + 1
     into_f = [translate_log_table(graph.link(order[r], order[r - 1]), points) for r in range(m)]
     into_b = [translate_log_table(graph.link(order[r], order[(r + 1) % m]), points)

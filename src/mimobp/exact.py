@@ -31,16 +31,17 @@ def lattice_indices(m_tx, size):
     return np.ascontiguousarray(grids)
 
 
+def _residual_norms(channel, constellation, y):
+    """|y - H s|^2 at every lattice point s, plus the (L, M) index table."""
+    idx = lattice_indices(channel.n_tx, constellation.size)
+    resid = np.asarray(y)[None, :] - constellation.points[idx] @ channel.H.T  # (L, N)
+    return np.sum(np.abs(resid) ** 2, axis=1), idx
+
+
 def _joint_log_posterior(channel, constellation, y):
     """Unnormalised log posterior over the full lattice, plus the index table."""
-    H = channel.H
-    m = channel.n_tx
-    idx = lattice_indices(m, constellation.size)
-    symbols = constellation.points[idx]  # (L, M)
-    resid = y[None, :] - symbols @ H.T  # (L, N)
-    logp = -np.sum(np.abs(resid) ** 2, axis=1) / channel.sigma2
-    logp = logp + np.sum(np.log(constellation.prior[idx]), axis=1)
-    return logp, idx
+    dist, idx = _residual_norms(channel, constellation, y)
+    return -dist / channel.sigma2 + np.sum(np.log(constellation.prior[idx]), axis=1), idx
 
 
 def map_marginals(channel: ChannelInstance, constellation: Constellation, y) -> np.ndarray:
@@ -50,7 +51,6 @@ def map_marginals(channel: ChannelInstance, constellation: Constellation, y) -> 
     the log domain so high-SNR instances do not underflow.
     """
     check_lattice_capacity(channel.n_tx, constellation)
-    y = np.asarray(y)
     logp, idx = _joint_log_posterior(channel, constellation, y)
     m, size = channel.n_tx, constellation.size
     table = logp.reshape((size,) * m)
@@ -72,11 +72,8 @@ def ml_hard(channel: ChannelInstance, constellation: Constellation, y) -> np.nda
     Ties resolve to the lexicographically smallest index vector.
     """
     check_lattice_capacity(channel.n_tx, constellation)
-    H = channel.H
-    idx = lattice_indices(channel.n_tx, constellation.size)
-    resid = np.asarray(y)[None, :] - constellation.points[idx] @ H.T
-    metric = np.sum(np.abs(resid) ** 2, axis=1)
-    return idx[int(np.argmin(metric))].copy()
+    dist, idx = _residual_norms(channel, constellation, y)
+    return idx[int(np.argmin(dist))].copy()
 
 
 def llr_from_marginals(posteriors, constellation: Constellation) -> np.ndarray:

@@ -177,6 +177,23 @@ class GbpTrace:
     order: tuple | None = None
 
 
+def _settle(sweep, config: GbpConfig):
+    """Call ``sweep`` until the belief means move less than ``tol``, or ``max_sweeps`` times.
+
+    ``sweep()`` advances every directed message by one hop and returns the
+    belief means and variances in node space. Returns (means, variances,
+    n_sweeps, converged), the first two indexed [sweep, node].
+    """
+    means, variances = [], []
+    for _ in range(config.max_sweeps):
+        mean, var = sweep()
+        means.append(mean)
+        variances.append(var)
+        if len(means) > 1 and np.max(np.abs(mean - means[-2])) < config.tol:
+            return np.array(means), np.array(variances), len(means), True
+    return np.array(means), np.array(variances), len(means), False
+
+
 def gbp3g(graph: PairwiseGraph, config: GbpConfig = GbpConfig()) -> GbpTrace:
     """Gaussian forward/backward recursion over the ring.
 
@@ -210,27 +227,16 @@ def gbp3g(graph: PairwiseGraph, config: GbpConfig = GbpConfig()) -> GbpTrace:
     mu_b = mu_f.copy()
     var_b = var_f.copy()
 
-    means, variances = [], []
-    prev = None
-    converged = False
-    n_sweeps = 0
-    for sweep in range(config.max_sweeps):
-        mu_f = u_f + v_f * np.roll(mu_f, 1)
-        var_f = uv_f + vv_f * np.roll(var_f, 1)
-        mu_b = u_b + v_b * np.roll(mu_b, -1)
-        var_b = uv_b + vv_b * np.roll(var_b, -1)
+    def sweep():
+        mu_f[:] = u_f + v_f * np.roll(mu_f, 1)
+        var_f[:] = uv_f + vv_f * np.roll(var_f, 1)
+        mu_b[:] = u_b + v_b * np.roll(mu_b, -1)
+        var_b[:] = uv_b + vv_b * np.roll(var_b, -1)
         prec = 1.0 / var_f + 1.0 / var_b
-        bel_mean = (mu_f / var_f + mu_b / var_b) / prec
-        bel_var = 1.0 / prec
-        means.append(bel_mean[inv])
-        variances.append(bel_var[inv])
-        n_sweeps = sweep + 1
-        if prev is not None and np.max(np.abs(bel_mean - prev)) < config.tol:
-            converged = True
-            break
-        prev = bel_mean
-    return GbpTrace(means=np.array(means), variances=np.array(variances),
-                    n_sweeps=n_sweeps, converged=converged,
+        return ((mu_f / var_f + mu_b / var_b) / prec)[inv], (1.0 / prec)[inv]
+
+    means, variances, n_sweeps, converged = _settle(sweep, config)
+    return GbpTrace(means=means, variances=variances, n_sweeps=n_sweeps, converged=converged,
                     message_means=mu_f, message_vars=var_f,
                     backward_means=mu_b, backward_vars=var_b, order=order)
 
@@ -239,21 +245,16 @@ def gbp2g(graph: PairwiseGraph, config: GbpConfig = GbpConfig()) -> GbpTrace:
     """Gaussian BP over the fully-connected graph, synchronous schedule.
 
     Extrinsic messages combine every other incoming message by precision
-    weighting before translation. For M = 2 the graph equals the two-node
-    ring and the routine delegates to the ring recursion. Convergence of the
-    mean to the linear MMSE point is empirical here, so a run that fails to
-    settle is flagged (logged and reported), never raised.
+    weighting before translation. For M <= 2 the graph equals the ring and
+    the routine returns the ring recursion's trace, messages in ring-position
+    space. Convergence of the mean to the linear MMSE point is empirical
+    here, so a run that fails to settle is flagged (logged and reported),
+    never raised.
     """
     if graph.topology is not Topology.FULLY_CONNECTED:
         raise ValueError("graph topology must be fully connected")
     m = graph.n_nodes
-    if m == 1:
-        trace = GbpTrace(means=np.zeros((1, 1), dtype=complex), variances=np.ones((1, 1)),
-                         n_sweeps=1, converged=True,
-                         message_means=np.zeros((1, 1), dtype=complex),
-                         message_vars=np.ones((1, 1)))
-        return trace
-    if m == 2:
+    if m <= 2:
         return gbp3g(graph, config)
 
     u = np.zeros((m, m), dtype=complex)
@@ -268,33 +269,23 @@ def gbp2g(graph: PairwiseGraph, config: GbpConfig = GbpConfig()) -> GbpTrace:
     var = np.full((m, m), config.init_var)
     off = ~np.eye(m, dtype=bool)
 
-    means, variances = [], []
-    prev = None
-    converged = False
-    n_sweeps = 0
-    for sweep in range(config.max_sweeps):
+    def sweep():
         prec = np.where(off, 1.0 / var, 0.0)
         wmean = np.where(off, mu / var, 0.0)
         tot_p = prec.sum(axis=0)
         tot_w = wmean.sum(axis=0)
         lam_prec = tot_p[:, None] - prec.T  # [i, j]: everything into i except from j
         lam_mean = (tot_w[:, None] - wmean.T) / lam_prec
-        var = np.where(off, uv + vv / lam_prec, var)
-        mu = np.where(off, u + v * lam_mean, mu)
+        var[:] = np.where(off, uv + vv / lam_prec, var)
+        mu[:] = np.where(off, u + v * lam_mean, mu)
         prec = np.where(off, 1.0 / var, 0.0)
         bel_prec = prec.sum(axis=0)
-        bel_mean = np.where(off, mu / var, 0.0).sum(axis=0) / bel_prec
-        means.append(bel_mean)
-        variances.append(1.0 / bel_prec)
-        n_sweeps = sweep + 1
-        if prev is not None and np.max(np.abs(bel_mean - prev)) < config.tol:
-            converged = True
-            break
-        prev = bel_mean
+        return np.where(off, mu / var, 0.0).sum(axis=0) / bel_prec, 1.0 / bel_prec
+
+    means, variances, n_sweeps, converged = _settle(sweep, config)
     if not converged:
         logger.warning("fully-connected Gaussian BP did not settle within %d sweeps", config.max_sweeps)
-    return GbpTrace(means=np.array(means), variances=np.array(variances),
-                    n_sweeps=n_sweeps, converged=converged,
+    return GbpTrace(means=means, variances=variances, n_sweeps=n_sweeps, converged=converged,
                     message_means=mu, message_vars=var)
 
 

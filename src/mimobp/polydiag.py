@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import ChannelInstance, Constellation
 from .discrete_bp import BeliefState, BpConfig, ring_recursion
+from .linalg import cn_logpdf
 from .pairwise import conditional_filter, ring_order
 
 
@@ -81,8 +82,7 @@ def forward_backward_detect(bd: BiDiagonalized, constellation: Constellation, y,
     def factor_table(r):
         # [t, s] = log density of y'_r given previous symbol t and target s
         mu = bd.a_diag[r] * points[None, :] + bd.a_sub[r] * points[:, None]
-        return (-np.abs(y_eff[r] - mu) ** 2 / bd.sigma2_eff[r]
-                - np.log(np.pi * bd.sigma2_eff[r]))
+        return cn_logpdf(y_eff[r], mu, bd.sigma2_eff[r])
 
     tables = [factor_table(r) for r in range(m)]
     return ring_recursion([t.T for t in tables], tables[1:] + tables[:1],

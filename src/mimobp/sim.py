@@ -573,12 +573,8 @@ def run_detect(cfg: SimConfig):
         "tx_bits": constellation.bits_for(idx[0]).tolist(),
         "detectors": {},
     }
-    detectors = list(cfg.detectors)
-    if cfg.m == 1:
-        detectors = [d for d in detectors if d in ("MAP", "ML", "LMMSE", "BP1")]
-    else:
-        full = build_graph(channel, y0, Topology.FULLY_CONNECTED)
-        ring = build_graph(channel, y0, Topology.RING, cfg.permutation)
+    full = build_graph(channel, y0, Topology.FULLY_CONNECTED)
+    ring = build_graph(channel, y0, Topology.RING, cfg.permutation)
 
     def bp(det):
         return BpConfig(iterations=cfg.iteration_count(det))
@@ -591,7 +587,7 @@ def run_detect(cfg: SimConfig):
         "FB": lambda: forward_backward_detect(bidiagonalize(channel, cfg.permutation),
                                               constellation, y0, bp("FB")).beliefs,
     }
-    for det in detectors:
+    for det in cfg.detectors:
         entry = {}
         if det in belief_oracles:
             beliefs = belief_oracles[det]()
@@ -703,6 +699,6 @@ def render_json(command: str, cfg: SimConfig, records) -> str:
 
 
 def render(command: str, cfg: SimConfig, records) -> str:
-    if cfg.fmt == "json" or command == "detect":
+    if cfg.fmt == "json":
         return render_json(command, cfg, records)
     return render_csv(command, cfg, records)

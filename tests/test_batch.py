@@ -233,13 +233,15 @@ def test_single_stream_pairwise_kernels():
     t = batch.link_tables(H, y, sigma2)
     with np.errstate(all="raise"):
         means = batch.gbp2g_batch(t, 10)
-    beliefs = batch.bp3_batch(t, c, 4)
+    beliefs2 = batch.bp2_batch(t, c, 4)
+    beliefs3 = batch.bp3_batch(t, c, 4)
     for b in range(3):
         ch = ChannelInstance(H=H[b], sigma2=sigma2)
         full = build_graph(ch, y[b], Topology.FULLY_CONNECTED)
         assert np.array_equal(means[b], gbp2g(full, GbpConfig(max_sweeps=10, tol=0.0)).means[-1])
+        assert np.array_equal(beliefs2[b], bp2_fully_connected(full, c, BpConfig(iterations=4)).beliefs)
         ring = build_graph(ch, y[b], Topology.RING)
-        assert np.array_equal(beliefs[b], bp3_ring(ring, c, BpConfig(iterations=4)).beliefs)
+        assert np.array_equal(beliefs3[b], bp3_ring(ring, c, BpConfig(iterations=4)).beliefs)
 
 
 def test_ml_batch_lexicographic_tie_break():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mimobp import ConfigError, get_constellation, qpsk
-from mimobp import sim
+from mimobp import batch, sim
 from mimobp.channel import trial_rng
 from mimobp.sim import (SimConfig, generate_batch, load_config,
                         parse_config_text, run_converge, run_detect,
@@ -573,6 +573,23 @@ class TestDetectReport:
         assert len(decisions) == 1
         assert np.allclose(report["detectors"]["MAP"]["beliefs"],
                            report["detectors"]["BP1"]["beliefs"], atol=1e-9)
+
+    def test_single_stream_reports_every_pairwise_detector(self):
+        """At M = 1 both graphs are the one-node ring; the report keeps every
+        requested detector, in order, and decides as the engine does."""
+        cfg = SimConfig(m=1, n=2, detectors=("ML", "LMMSE", "BP2", "BP3", "GBP2G", "GBP3G"))
+        report = run_detect(cfg.validate())
+        assert list(report["detectors"]) == list(cfg.detectors)
+        c = get_constellation(cfg.constellation)
+        sigma2 = sim.noise_variance(cfg.snr_db[0])
+        H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 1)
+        t = batch.link_tables(H, y, sigma2)
+        engine = {"BP2": np.argmax(batch.bp2_batch(t, c, cfg.iteration_count("BP2")), axis=2),
+                  "BP3": np.argmax(batch.bp3_batch(t, c, cfg.iteration_count("BP3")), axis=2),
+                  "GBP2G": c.slice_hard(batch.gbp2g_batch(t, cfg.gbp_sweeps)),
+                  "GBP3G": c.slice_hard(batch.gbp3g_batch(t, cfg.gbp_sweeps))}
+        for det, hard in engine.items():
+            assert report["detectors"][det]["hard"] == hard[0].tolist(), det
 
 
 class TestSoftOutputsSanity:
