@@ -232,12 +232,12 @@ def lattice_blocks(H, constellation):
     return trial_blocks(len(H), 4 * 8 * n_rx * constellation.size ** m)
 
 
-def _by_lattice_blocks(kernel, H, y, sigma2, constellation, *args, **kwargs):
+def _by_lattice_blocks(kernel, H, y, sigma2, constellation, *args):
     """``kernel`` on each of ``lattice_blocks`` with that block's residual
     table, its outputs joined over the trials."""
     return np.concatenate([
         kernel(H[part], y[part], sigma2, constellation, *args,
-               residuals=lattice_residuals(H[part], y[part], constellation), **kwargs)
+               residuals=lattice_residuals(H[part], y[part], constellation))
         for part in lattice_blocks(H, constellation)])
 
 
@@ -698,7 +698,7 @@ def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
 
 
 def bp1_batch(H, y, sigma2, constellation: Constellation, iterations: int,
-              singly_connected: bool = False, residuals=None) -> np.ndarray:
+              residuals=None) -> np.ndarray:
     """Beliefs of the observation factor-graph scheme; (B, M, Q).
 
     ``residuals`` is ``lattice_residuals(H, y, constellation)`` when the
@@ -709,16 +709,12 @@ def bp1_batch(H, y, sigma2, constellation: Constellation, iterations: int,
     LT + LSE_lead(ll + LA). Both log-sum-exps run in one work buffer.
     """
     if residuals is None:
-        return _by_lattice_blocks(bp1_batch, H, y, sigma2, constellation, iterations,
-                                  singly_connected=singly_connected)
+        return _by_lattice_blocks(bp1_batch, H, y, sigma2, constellation, iterations)
     B, _, m = H.shape
     size = constellation.size
-    sq = residuals  # (L, F, B)
-    if singly_connected:
-        sq = _sum(sq, 1, keepdims=True)
-    n_fac = sq.shape[1]
+    n_fac = residuals.shape[1]  # residuals: (L, F, B)
     k = m // 2
-    ll = np.divide(sq, -sigma2).reshape((size ** k, -1, n_fac, B))
+    ll = np.divide(residuals, -sigma2).reshape((size ** k, -1, n_fac, B))
     work = np.empty_like(ll)
     log_prior = np.log(constellation.prior)[:, None]
     lam = np.broadcast_to(log_prior[:, :, None], (m, size, n_fac, B))  # [j, s, f, b]

@@ -17,37 +17,23 @@ from . import sim
 from .errors import CapacityError, ConfigError, NumericalError
 
 
-def _int_list(text):
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
-def _float_list(text):
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-def _detector_list(text):
-    return tuple(p.strip().upper() for p in text.split(",") if p.strip())
-
-
 def _common_flags(p):
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--seed", type=int, help="master seed (64-bit)")
-    p.add_argument("--snr-db", type=_float_list, dest="snr_db", help="comma-separated SNR list in dB")
-    p.add_argument("--detectors", type=_detector_list, help="comma-separated detector list")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-    p.add_argument("--target-errors", type=int, dest="target_errors",
-                   help="keep running past --trials until this many bit errors")
-    p.add_argument("--max-trials", type=int, dest="max_trials",
-                   help="hard trial cap in target-error mode, at least --trials "
-                        "(default 100 x --trials)")
-    p.add_argument("--iterations", type=int, help="iteration count for the iterative detectors")
-    p.add_argument("--permutation", type=_int_list, help="ring order, 0-based, e.g. 0,2,1,3")
+    p.add_argument("--seed", help="master seed (64-bit)")
+    p.add_argument("--snr-db", help="comma-separated SNR list in dB")
+    p.add_argument("--detectors", help="comma-separated detector list")
+    p.add_argument("--trials", help="Monte Carlo trials per point")
+    p.add_argument("--target-errors", help="keep running past --trials until this many bit errors")
+    p.add_argument("--max-trials", help="hard trial cap in target-error mode, at least --trials "
+                                        "(default 100 x --trials)")
+    p.add_argument("--iterations", help="iteration count for the iterative detectors")
+    p.add_argument("--permutation", help="ring order, 0-based, e.g. 0,2,1,3")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
-    p.add_argument("--m", type=int, help="transmit streams")
-    p.add_argument("--n", type=int, help="receive dimensions")
+    p.add_argument("--m", help="transmit streams")
+    p.add_argument("--n", help="receive dimensions")
     p.add_argument("--constellation", help="QPSK or QAM16")
-    p.add_argument("--batch-size", type=int, dest="batch_size", help="trials per vectorised batch")
+    p.add_argument("--batch-size", help="trials per vectorised batch")
 
 
 def build_parser():
@@ -57,14 +43,14 @@ def build_parser():
 
     p = subs.add_parser("simulate", help="uncoded BER sweep across detectors and SNRs")
     _common_flags(p)
-    p.add_argument("--gbp-sweeps", type=int, dest="gbp_sweeps",
-                   help="fixed sweep count for the Gaussian detectors")
+    p.add_argument("--gbp-sweeps", help="fixed sweep count for the Gaussian detectors")
 
     p = subs.add_parser("converge", help="Gaussian BP convergence traces")
     _common_flags(p)
-    p.add_argument("--channels", type=int, help="number of independent channels")
-    p.add_argument("--sweeps", type=int, help="sweep cap per channel")
-    p.set_defaults(snr_default=(5.0, 20.0), detectors_default=("GBP2G", "GBP3G"))
+    p.add_argument("--channels", help="number of independent channels")
+    p.add_argument("--sweeps", help="sweep cap per channel")
+    # a subcommand's defaults lie below the config file and the flags
+    p.set_defaults(defaults={"snr_db": (5.0, 20.0), "detectors": ("GBP2G", "GBP3G")})
 
     p = subs.add_parser("detect", help="single-instance diagnostic report")
     _common_flags(p)
@@ -72,9 +58,8 @@ def build_parser():
 
     p = subs.add_parser("iterstudy", help="BER versus iteration count for BP2/BP3")
     _common_flags(p)
-    p.add_argument("--iter-list", type=_int_list, dest="iter_list",
-                   help="iteration counts to sweep, default 2,3,4,6")
-    p.set_defaults(detectors_default=("BP2", "BP3"))
+    p.add_argument("--iter-list", help="iteration counts to sweep, default 2,3,4,6")
+    p.set_defaults(defaults={"detectors": ("BP2", "BP3")})
     return parser
 
 
@@ -82,12 +67,10 @@ _CFG_KEYS = tuple(f.name for f in dataclasses.fields(sim.SimConfig))
 
 
 def _config_from_args(args) -> sim.SimConfig:
-    overrides = {k: getattr(args, k, None) for k in _CFG_KEYS}
-    if overrides.get("snr_db") is None and getattr(args, "snr_default", None):
-        overrides["snr_db"] = args.snr_default
-    if overrides.get("detectors") is None and getattr(args, "detectors_default", None):
-        overrides["detectors"] = args.detectors_default
-    return sim.load_config(args.config, overrides)
+    """Each flag read as its config line would be, over the config file."""
+    flags = {k: sim.read_value(k, text) for k in _CFG_KEYS
+             if (text := getattr(args, k, None)) is not None}
+    return sim.load_config(args.config, flags, getattr(args, "defaults", None))
 
 
 def _emit(text, out_path):

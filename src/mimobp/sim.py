@@ -22,7 +22,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -144,6 +144,10 @@ class SimConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if "FB" in self.detectors and self.m < 2:
             raise ConfigError("FB needs M >= 2: each shortening filter pairs two streams")
+        paired = [d for d in self.detectors if d in LINKED_DETECTORS]
+        if paired and self.m < 2:
+            raise ConfigError(f"drop {', '.join(paired)} from detectors: the pairwise detectors "
+                              f"need M >= 2, since at M = 1 the graph has no link to carry y")
         try:
             ring_order(self.m, self.permutation)
             get_constellation(self.constellation)
@@ -168,11 +172,31 @@ class SimConfig:
 
 
 # ---------------------------------------------------------------------------
-# config file parsing
+# config reading
 
-_LIST_KEYS = {"snr_db", "detectors", "permutation", "iter_list"}
-_INT_KEYS = {"m", "n", "trials", "target_errors", "max_trials", "seed",
-             "batch_size", "gbp_sweeps", "channels", "sweeps"}
+
+def _list_of(cast):
+    """Reader of a comma-separated list; empty items are skipped."""
+    return lambda text: tuple(cast(p.strip()) for p in text.split(",") if p.strip())
+
+
+# How each key's text reads; every key not named here holds one int, and
+# ``iterations`` one count for every iterative detector.
+_READERS = {"snr_db": _list_of(float), "detectors": _list_of(str.upper),
+            "permutation": _list_of(int), "iter_list": _list_of(int),
+            "constellation": str, "fmt": str, "out": str}
+_KEYS = {f.name for f in fields(SimConfig)}
+
+
+def read_value(key: str, text: str):
+    """The value of config key ``key`` written as ``text``, read the same
+    from a config file line and from a flag. ConfigError names the key."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown key {key!r}")
+    try:
+        return _READERS.get(key, int)(text)
+    except ValueError as exc:
+        raise ConfigError(f"field {key!r}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -182,28 +206,23 @@ def parse_config_text(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key.startswith("iterations."):
-            det = key.split(".", 1)[1].upper()
-            if det not in DETECTORS:
-                raise ConfigError(f"line {lineno}: unknown detector {det!r} in {key!r}")
-            out.setdefault("iterations", {})[det] = _parse_scalar(key, value, lineno, int)
-        elif key == "iterations":
-            out["iterations"] = _all_iterations(_parse_scalar(key, value, lineno, int))
-        elif key in _LIST_KEYS:
-            out[key] = _parse_list(key, value, lineno)
-        elif key in _INT_KEYS:
-            out[key] = _parse_scalar(key, value, lineno, int)
-        elif key in ("constellation", "fmt", "out"):
-            out[key] = value
-        elif key == "detector":
-            out["detectors"] = _parse_list(key, value, lineno)
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            if "=" not in line:
+                raise ConfigError(f"expected 'key = value', got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key == "detector":
+                key = "detectors"
+            if key.startswith("iterations."):
+                det = key.split(".", 1)[1].upper()
+                if det not in DETECTORS:
+                    raise ConfigError(f"unknown detector {det!r} in {key!r}")
+                out.setdefault("iterations", {})[det] = read_value("iterations", value)
+            elif key == "iterations":
+                out["iterations"] = _all_iterations(read_value(key, value))
+            else:
+                out[key] = read_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return out
 
 
@@ -214,33 +233,27 @@ def _all_iterations(count: int) -> dict:
     return dict.fromkeys(DEFAULT_ITERATIONS, count)
 
 
-def _parse_scalar(key, value, lineno, cast):
-    try:
-        return cast(value)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from None
-
-
-def _parse_list(key, value, lineno):
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if key == "snr_db":
-        return tuple(_parse_scalar(key, p, lineno, float) for p in parts)
-    if key in ("permutation", "iter_list"):
-        return tuple(_parse_scalar(key, p, lineno, int) for p in parts)
-    return tuple(p.upper() for p in parts)
-
-
-def load_config(path=None, overrides=None) -> SimConfig:
-    data: dict = {}
+def load_config(path=None, overrides=None, defaults=None) -> SimConfig:
+    """The validated config of one run. Each layer wins over the ones
+    before it: SimConfig's defaults, ``defaults`` (a subcommand's), the
+    config file at ``path``, then ``overrides`` (flags, or a caller's
+    fields), where None leaves a key unset. Iteration counts merge across
+    the layers, and an int count stands for every iterative detector."""
+    layers = [defaults or {}]
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            data.update(parse_config_text(fh.read()))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "iterations" and isinstance(value, int):
-            value = {**data.get("iterations", {}), **_all_iterations(value)}
-        data[key] = value
+            layers.append(parse_config_text(fh.read()))
+    layers.append(overrides or {})
+    data: dict = {}
+    for layer in layers:
+        for key, value in layer.items():
+            if value is None:
+                continue
+            if key == "iterations":
+                if isinstance(value, int):
+                    value = _all_iterations(value)
+                value = {**data.get("iterations", {}), **value}
+            data[key] = value
     try:
         cfg = SimConfig(**data)
     except TypeError as exc:

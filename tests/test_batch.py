@@ -191,12 +191,11 @@ def test_fb_batch_matches_reference(stacked):
         assert np.max(np.abs(beliefs[b] - ref.beliefs)) < 1e-12
 
 
-@pytest.mark.parametrize("singly", [False, True])
-def test_bp1_batch_matches_reference(stacked, singly):
+def test_bp1_batch_matches_reference(stacked):
     c, H, _, y = stacked
-    beliefs = batch.bp1_batch(H, y, SIGMA2, c, 4, singly_connected=singly)
+    beliefs = batch.bp1_batch(H, y, SIGMA2, c, 4)
     for b, ch, yb in instances(H, y):
-        ref = bp1_factor_graph(ch, c, yb, BpConfig(iterations=4), singly_connected=singly)
+        ref = bp1_factor_graph(ch, c, yb, BpConfig(iterations=4))
         assert np.max(np.abs(beliefs[b] - ref.beliefs)) < 1e-10
 
 
@@ -274,18 +273,15 @@ def test_lattice_batches_match_reference_across_snr(case):
     H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 3)
     post = batch.map_marginals_batch(H, y, sigma2, c)
     hard = batch.ml_hard_batch(H, y, sigma2, c)
-    bp1 = {singly: batch.bp1_batch(H, y, sigma2, c, iters, singly_connected=singly)
-           for singly in (False, True)}
+    bp1 = batch.bp1_batch(H, y, sigma2, c, iters)
     assert np.all(np.isfinite(post))
     for b in range(3):
         ch = ChannelInstance(H=H[b], sigma2=sigma2)
         assert np.max(np.abs(post[b] - map_marginals(ch, c, y[b]))) < 1e-10
         assert np.array_equal(hard[b], ml_hard(ch, c, y[b]))
-        for singly, beliefs in bp1.items():
-            assert np.all(np.isfinite(beliefs[b]))
-            ref = bp1_factor_graph(ch, c, y[b], BpConfig(iterations=iters),
-                                   singly_connected=singly)
-            assert np.max(np.abs(beliefs[b] - ref.beliefs)) < 1e-10
+        assert np.all(np.isfinite(bp1[b]))
+        ref = bp1_factor_graph(ch, c, y[b], BpConfig(iterations=iters))
+        assert np.max(np.abs(bp1[b] - ref.beliefs)) < 1e-10
 
 
 @st.composite
@@ -640,7 +636,6 @@ def test_lattice_capacity_checked_before_enumeration(monkeypatch):
     ch = ChannelInstance(H=H[0], sigma2=1.0)
     kernels = (batch.ml_hard_batch, batch.map_marginals_batch,
                lambda *a: batch.bp1_batch(*a, 4),
-               lambda *a: batch.bp1_batch(*a, 4, singly_connected=True),
                lambda *a: map_marginals(ch, c, y[0]),
                lambda *a: ml_hard(ch, c, y[0]),
                lambda *a: bp1_factor_graph(ch, c, y[0], BpConfig(4)),
@@ -665,8 +660,7 @@ def _kernel_outputs(H, y, sigma2, c, perm):
     if H.shape[2] * c.bits_per_symbol <= 12:
         out.update({"ML": (batch.ml_hard_batch(H, y, sigma2, c),),
                     "MAP": (batch.map_marginals_batch(H, y, sigma2, c),),
-                    "BP1": (batch.bp1_batch(H, y, sigma2, c, 3),),
-                    "BP1 singly": (batch.bp1_batch(H, y, sigma2, c, 3, singly_connected=True),)})
+                    "BP1": (batch.bp1_batch(H, y, sigma2, c, 3),)})
     return out
 
 
@@ -768,9 +762,7 @@ def test_lone_trial_matches_its_row_of_a_lattice_batch(m, n, name):
         return {"residuals": batch.lattice_residuals(H[part], y[part], c),
                 "ML": batch.ml_hard_batch(H[part], y[part], sigma2, c),
                 "MAP": batch.map_marginals_batch(H[part], y[part], sigma2, c),
-                "BP1": batch.bp1_batch(H[part], y[part], sigma2, c, 3),
-                "BP1 singly": batch.bp1_batch(H[part], y[part], sigma2, c, 3,
-                                              singly_connected=True)}
+                "BP1": batch.bp1_batch(H[part], y[part], sigma2, c, 3)}
 
     whole = kernels(slice(None))
     differ = dict.fromkeys(whole, 0)
@@ -797,9 +789,7 @@ def test_shared_residuals_give_the_same_bits(m, n, name):
     table.flags.writeable = False
     kernels = {"ML": lambda **kw: batch.ml_hard_batch(H, y, sigma2, c, **kw),
                "MAP": lambda **kw: batch.map_marginals_batch(H, y, sigma2, c, **kw),
-               "BP1": lambda **kw: batch.bp1_batch(H, y, sigma2, c, 3, **kw),
-               "BP1 singly": lambda **kw: batch.bp1_batch(H, y, sigma2, c, 3,
-                                                          singly_connected=True, **kw)}
+               "BP1": lambda **kw: batch.bp1_batch(H, y, sigma2, c, 3, **kw)}
     for kernel, run in kernels.items():
         assert np.array_equal(run(), run(residuals=table)), kernel
     assert np.array_equal(table, kept)
@@ -856,8 +846,7 @@ def test_trial_blocks_move_no_bit(monkeypatch, m, n, name, trials):
                                              for part in batch.lattice_blocks(H, c)], axis=-1),
                 "ML": batch.ml_hard_batch(H, y, sigma2, c),
                 "MAP": batch.map_marginals_batch(H, y, sigma2, c),
-                "BP1": batch.bp1_batch(H, y, sigma2, c, 3),
-                "BP1 singly": batch.bp1_batch(H, y, sigma2, c, 3, singly_connected=True)})
+                "BP1": batch.bp1_batch(H, y, sigma2, c, 3)})
         return out
 
     whole = kernels()
@@ -904,4 +893,3 @@ def test_kernels_run_on_read_only_inputs(m, trials):
             batch.ml_hard_batch(H[part], y[part], sigma2, c, residuals=res)
             batch.map_marginals_batch(H[part], y[part], sigma2, c, residuals=res)
             batch.bp1_batch(H[part], y[part], sigma2, c, 3, residuals=res)
-            batch.bp1_batch(H[part], y[part], sigma2, c, 3, singly_connected=True, residuals=res)

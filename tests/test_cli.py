@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -46,6 +47,30 @@ class TestExitCodes:
                       "--trials", "50", "--snr-db", "10")
         assert res.returncode == 2
         assert "FB needs M >= 2" in res.stderr and res.stdout == ""
+
+    def test_pairwise_detector_on_one_stream_exits_two(self):
+        res = run_cli("simulate", "--m", "1", "--n", "2", "--detectors", "BP2",
+                      "--trials", "50", "--snr-db", "10")
+        assert res.returncode == 2
+        assert "drop BP2 from detectors" in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("flag,key,text", [
+        ("--snr-db", "snr_db", "5,abc"),
+        ("--seed", "seed", "x"),
+        ("--permutation", "permutation", "1,0,2,x"),
+        ("--iter-list", "iter_list", "2,3.5"),
+    ])
+    def test_bad_flag_value_reads_as_its_config_line(self, tmp_path, flag, key, text):
+        """A bad value exits 2 with the file line's error, less its line number."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = {text}\n")
+        by_flag = run_cli("iterstudy", flag, text, "--trials", "5")
+        by_file = run_cli("iterstudy", "--config", str(cfgfile), "--trials", "5")
+        assert by_flag.returncode == by_file.returncode == 2
+        assert by_flag.stderr.startswith(f"config error: field '{key}': ")
+        assert by_file.stderr == by_flag.stderr.replace("config error: ", "config error: line 1: ")
+        assert not any(word in by_flag.stderr for word in ("_float_list", "_int_list", "usage"))
+        assert by_flag.stdout == by_file.stdout == ""
 
     @pytest.mark.parametrize("args", [
         ("simulate", "--detectors", "GBP2G,GBP3G", "--gbp-sweeps", "0"),
@@ -130,7 +155,7 @@ class TestExitCodes:
         ("simulate", "--m", "4", "--n", "4", "--detectors", "MAP,ML,LMMSE,BP1,BP2,BP3,FB,GBP2G,GBP3G"),
         ("simulate", "--m", "3", "--n", "5", "--constellation", "QAM16",
          "--detectors", "MAP,ML,LMMSE,BP1,BP2,BP3,FB,GBP2G,GBP3G"),
-        ("simulate", "--m", "1", "--n", "1", "--detectors", "MAP,ML,LMMSE,BP1,BP2,BP3,GBP2G,GBP3G"),
+        ("simulate", "--m", "1", "--n", "1", "--detectors", "MAP,ML,LMMSE,BP1"),
         ("converge", "--channels", "2", "--sweeps", "100"),
     ])
     def test_snr_at_the_limits_runs_without_warnings(self, args, snr):
@@ -308,3 +333,62 @@ class TestFormats:
         run_cli("simulate", "--config", str(cfgfile), "--seed", "6", "--out", str(out2))
         assert "seed=5" in out1.read_text().splitlines()[0]
         assert "seed=6" in out2.read_text().splitlines()[0]
+
+    def test_config_file_over_subcommand_defaults(self, tmp_path):
+        """converge's SNRs and detectors and iterstudy's detectors yield to
+        the file's, as every other default does."""
+        cfgfile = tmp_path / "converge.cfg"
+        cfgfile.write_text("snr_db = 12\ndetectors = GBP3G\nchannels = 1\nsweeps = 3\n"
+                           "m = 2\nn = 2\n")
+        res = run_cli("converge", "--config", str(cfgfile))
+        assert res.returncode == 0, res.stderr
+        head, _, *rows = res.stdout.splitlines()
+        assert "detectors=GBP3G " in head and "snr_db=12.0 " in head
+        assert {tuple(r.split(",")[1:3]) for r in rows} == {("12", "GBP3G")}
+        cfgfile = tmp_path / "iterstudy.cfg"
+        cfgfile.write_text("detectors = BP3\n")
+        res = run_cli("iterstudy", "--config", str(cfgfile), "--snr-db", "8",
+                      "--trials", "20", "--iter-list", "2")
+        assert res.returncode == 0, res.stderr
+        assert [r.split(",")[0] for r in res.stdout.splitlines()[2:]] == ["BP3"]
+
+
+# one value per SimConfig key, none its default, with the subcommand and
+# flag that set it
+_EVERY_KEY = [
+    ("m", "3", "simulate", "--m"),
+    ("n", "6", "simulate", "--n"),
+    ("constellation", "QAM16", "simulate", "--constellation"),
+    ("snr_db", "4.5, 9", "simulate", "--snr-db"),
+    ("detectors", "ml, bp3", "simulate", "--detectors"),
+    ("iterations", "6", "simulate", "--iterations"),
+    ("trials", "500", "simulate", "--trials"),
+    ("target_errors", "7", "simulate", "--target-errors"),
+    ("max_trials", "20000", "simulate", "--max-trials"),
+    ("seed", "17", "simulate", "--seed"),
+    ("permutation", "3,1,0,2", "simulate", "--permutation"),
+    ("out", "x y.csv", "simulate", "--out"),
+    ("fmt", "json", "simulate", "--format"),
+    ("batch_size", "64", "simulate", "--batch-size"),
+    ("gbp_sweeps", "30", "simulate", "--gbp-sweeps"),
+    ("channels", "3", "converge", "--channels"),
+    ("sweeps", "40", "converge", "--sweeps"),
+    ("iter_list", "2,5", "iterstudy", "--iter-list"),
+]
+
+
+def test_every_key_has_its_flag():
+    from mimobp.sim import SimConfig
+    assert [k for k, *_ in _EVERY_KEY] == [f.name for f in dataclasses.fields(SimConfig)]
+
+
+@pytest.mark.parametrize("key,text,command,flag", _EVERY_KEY, ids=[k for k, *_ in _EVERY_KEY])
+def test_flag_and_config_line_give_one_config(tmp_path, key, text, command, flag):
+    from mimobp import cli
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {text}\n")
+    parser = cli.build_parser()
+    by_flag = cli._config_from_args(parser.parse_args([command, flag, text]))
+    by_file = cli._config_from_args(parser.parse_args([command, "--config", str(cfgfile)]))
+    assert by_flag == by_file
+    assert by_flag != cli._config_from_args(parser.parse_args([command]))

@@ -94,6 +94,45 @@ class TestConfigParsing:
         assert cfg.iteration_count("BP2") == 6
         assert cfg.iteration_count("BP3") == 6
 
+    def test_layers_in_order(self, tmp_path):
+        """SimConfig defaults < a subcommand's defaults < the file < the
+        overrides; a scalar iteration count in a later layer beats a
+        per-detector one in an earlier layer."""
+        path = tmp_path / "run.cfg"
+        path.write_text("detectors = BP3\niterations.BP2 = 5\niterations.FB = 7\nseed = 4\n")
+        cfg = load_config(path, {"iterations": 3, "seed": None},
+                          {"detectors": ("BP2",), "snr_db": (1.0,)})
+        assert (cfg.detectors, cfg.snr_db, cfg.seed) == (("BP3",), (1.0,), 4)
+        assert cfg.iterations == dict.fromkeys(sim.DEFAULT_ITERATIONS, 3)
+        cfg = load_config(path, {"iterations": {"BP3": 2}})
+        assert cfg.iterations == {"BP2": 5, "FB": 7, "BP3": 2}
+
+    def test_read_value_names_the_key(self):
+        assert sim.read_value("detectors", " ml, bp3 ,") == ("ML", "BP3")
+        assert sim.read_value("snr_db", "5, 7.5") == (5.0, 7.5)
+        assert sim.read_value("out", "a b.csv") == "a b.csv"
+        with pytest.raises(ConfigError, match="field 'snr_db': could not convert"):
+            sim.read_value("snr_db", "5,abc")
+        with pytest.raises(ConfigError, match="field 'seed': invalid literal"):
+            sim.read_value("seed", "x")
+        with pytest.raises(ConfigError, match="unknown key 'snr-db'"):
+            sim.read_value("snr-db", "5")
+        with pytest.raises(ConfigError, match="^line 2: field 'iter_list': invalid literal"):
+            parse_config_text("m = 2\niter_list = 2,x\n")
+
+    def test_single_stream_refuses_every_pairwise_detector(self):
+        """At M = 1 the pairwise graph has no link, the only place y enters
+        BP2, BP3, GBP2G and GBP3G, so validate refuses them as it does FB."""
+        for det in sim.LINKED_DETECTORS:
+            with pytest.raises(ConfigError, match=f"drop {det} from detectors"):
+                SimConfig(m=1, n=2, detectors=("ML", det)).validate()
+        with pytest.raises(ConfigError, match="drop BP2, BP3, GBP2G, GBP3G from detectors"):
+            SimConfig(m=1, n=2, detectors=("ML", "LMMSE", "BP2", "BP3", "GBP2G",
+                                           "GBP3G")).validate()
+        with pytest.raises(ConfigError, match="drop BP2, BP3 from detectors"):
+            SimConfig(m=1, n=2).validate()  # the default list
+        assert SimConfig(m=1, n=2, detectors=("MAP", "ML", "LMMSE", "BP1")).validate()
+
 
 class TestGeneration:
     def test_streams_independent_of_partitioning(self):
@@ -573,23 +612,6 @@ class TestDetectReport:
         assert len(decisions) == 1
         assert np.allclose(report["detectors"]["MAP"]["beliefs"],
                            report["detectors"]["BP1"]["beliefs"], atol=1e-9)
-
-    def test_single_stream_reports_every_pairwise_detector(self):
-        """At M = 1 both graphs are the one-node ring; the report keeps every
-        requested detector, in order, and decides as the engine does."""
-        cfg = SimConfig(m=1, n=2, detectors=("ML", "LMMSE", "BP2", "BP3", "GBP2G", "GBP3G"))
-        report = run_detect(cfg.validate())
-        assert list(report["detectors"]) == list(cfg.detectors)
-        c = get_constellation(cfg.constellation)
-        sigma2 = sim.noise_variance(cfg.snr_db[0])
-        H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 1)
-        t = batch.link_tables(H, y, sigma2)
-        engine = {"BP2": np.argmax(batch.bp2_batch(t, c, cfg.iteration_count("BP2")), axis=2),
-                  "BP3": np.argmax(batch.bp3_batch(t, c, cfg.iteration_count("BP3")), axis=2),
-                  "GBP2G": c.slice_hard(batch.gbp2g_batch(t, cfg.gbp_sweeps)),
-                  "GBP3G": c.slice_hard(batch.gbp3g_batch(t, cfg.gbp_sweeps))}
-        for det, hard in engine.items():
-            assert report["detectors"][det]["hard"] == hard[0].tolist(), det
 
 
 class TestSoftOutputsSanity:
