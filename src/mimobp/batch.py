@@ -560,53 +560,56 @@ def _repack(flat, front, *back):
         np.concatenate(back, axis=-1, out=_region(flat, shape, at_back=True))
 
 
-def _gbp2g_means(wmean, inv, u, v, wsum, lam):
-    """The mean half of a GBP2G sweep, in place: from the weighted means
-    wmean = mu * prec, (M, M, n), to the next means u + v * lam_mean, given
-    inv = 1/lam_prec. ``wsum`` (M, n) and ``lam`` (M, M, n) are work space."""
-    np.add.reduce(wmean, axis=0, out=wsum)
-    # [i, j]: everything into i except from j
-    np.subtract(wsum[:, None], wmean.transpose(1, 0, 2), out=lam)
-    np.multiply(lam, inv, out=lam)
-    np.multiply(v, lam, out=wmean)
-    np.add(u, wmean, out=wmean)
+def _gbp2g_spread(w, wsum, lam):
+    """Sum w - w^T of (M, M, n) weighted means w into ``lam``, [i, j]:
+    everything into i except from j. ``wsum`` (M, n) is work space."""
+    np.add.reduce(w, axis=0, out=wsum)
+    np.subtract(wsum[:, None], w.transpose(1, 0, 2), out=lam)
 
 
-def _gbp2g_beliefs(mu, prec):
-    """(M, n) belief means [j, b] of (M, M, n) messages with precisions ``prec``."""
-    return (mu * prec).sum(axis=0) * (1.0 / prec.sum(axis=0))
+def _gbp2g_beliefs(w, prec):
+    """(M, n) belief means [j, b] of (M, M, n) messages in information form."""
+    return w.sum(axis=0) * (1.0 / prec.sum(axis=0))
 
 
 def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
     """Belief means of the fully-connected Gaussian scheme after ``sweeps``.
 
     Messages are (M, M, B), [i, j, b] for the i -> j edge, so the sums over
-    source nodes are row adds. A self-edge keeps variance inf and zero
-    coefficients: it contributes zero precision and zero weighted mean,
-    which takes the place of an off-diagonal mask. A complex array divided
-    by a real one is taken as both parts times the reciprocal, which is what
-    numpy's complex division computes for a zero imaginary part.
+    source nodes are row adds. Each message is held in information form, as
+    its precision prec = 1/var and weighted mean w = prec * mu. A sweep is
+
+        lam_prec = sum prec - prec^T   ([i, j]: everything into i except from j)
+        prec'    = 1 / (u_var + v_var / lam_prec)
+        d, a     = v * (prec' / lam_prec), u * prec'
+        w'       = a + (sum w - w^T) * d
+
+    and the beliefs are sum w * (1 / sum prec). A self-edge has u_var = inf
+    and zero coefficients, so it keeps precision 0 and weighted mean 0 and
+    adds nothing to either sum, which takes the place of an off-diagonal mask.
 
     A sweep of a trial is a fixed function of that trial's own state, and
-    its variance half never reads the means (Weiss and Freeman, Neural
-    Computation 2001). Two shortcuts follow that leave every output bit as
-    the plain sweep makes it (but for the sign of a NaN, which numpy's loops
-    vary with the array length in the plain sweep too):
+    its precision half never reads the weighted means (Weiss and Freeman,
+    Neural Computation 2001). Two shortcuts follow that leave every output
+    bit as the plain sweep makes it (but for the sign of a NaN, which
+    numpy's loops vary with the array length in the plain sweep too):
 
-    - **Freeze.** Variances equal to the previous sweep's bit for bit stay
-      so for good, and so do prec = 1/var and 1/lam_prec. Such a trial moves
-      to a frozen group that keeps both and runs only the mean half.
-    - **Retire.** A state (means and variances) equal to the one ``_PERIOD``
-      sweeps earlier recurs every ``_PERIOD`` sweeps. Checked only after t
-      sweeps with ``sweeps - t`` a multiple of ``_PERIOD``, it is already
-      the final state, so the trial's beliefs are taken and it leaves.
+    - **Freeze.** Precisions equal to the previous sweep's bit for bit stay
+      so for good, and so do a and d. Such a trial moves to a frozen group
+      that keeps them, built by the very operations of the sweep, and runs
+      only its last line: reduce, subtract, multiply, add.
+    - **Retire.** A state (w and prec) equal to the one ``_PERIOD`` sweeps
+      earlier recurs every ``_PERIOD`` sweeps. Checked only after t sweeps
+      with ``sweeps - t`` a multiple of ``_PERIOD``, it is already the final
+      state, so the trial's beliefs are taken and it leaves.
 
     Both are checked every ``_PERIOD`` sweeps, and a group is compacted only
     once an eighth of it qualifies, which keeps the copies rare. Every
     per-trial array is a view of one flat buffer for all B trials, allocated
     once: the moving trials' (M, M, n) array fills the front of the buffer
-    and the frozen trials' the back. The frozen group keeps 1/var in the
-    buffer of u_var and 1/lam_prec in that of v_var, which it no longer reads.
+    and the frozen trials' the back. The frozen group keeps a in the buffer
+    of u, d in that of v and its precisions in that of u_var, which it no
+    longer reads.
     """
     B, m, _ = links.a_diag.shape
     if m <= 2:
@@ -618,11 +621,11 @@ def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
           for a in (links.y_prime, links.a_diag, links.a_cross))))
     self_edge = (np.arange(m), np.arange(m))
     uv.reshape(m, m, B)[self_edge] = np.inf
-    mu = np.zeros(size, dtype=complex)
-    var = np.ones(size)
-    var.reshape(m, m, B)[self_edge] = np.inf
-    lam, mu_snap = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-    prec, lam_prec, var_snap = np.empty(size), np.empty(size), np.empty(size)
+    w = np.zeros(size, dtype=complex)
+    prec = np.ones(size)
+    prec.reshape(m, m, B)[self_edge] = 0.0
+    lam, w_snap = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    nxt, lam_prec, prec_snap = np.empty(size), np.empty(size), np.empty(size)
     wsum, psum = np.empty(m * B, dtype=complex), np.empty(m * B)
     ids, f_ids = np.arange(B), np.arange(0)  # the trials of the moving and the frozen group
     beliefs = np.empty((m, B), dtype=complex)
@@ -633,37 +636,41 @@ def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
         n, nf = ids.size, f_ids.size
         mov = SimpleNamespace(n=n, psum=_region(psum, (m, n)), wsum=_region(wsum, (m, n)), **{
             key: _region(a, (m, m, n)) for key, a in dict(
-                mu=mu, var=var, u=u, v=v, uv=uv, vv=vv, prec=prec, lam_prec=lam_prec, lam=lam,
-                mu_snap=mu_snap, var_snap=var_snap).items()})
+                w=w, prec=prec, nxt=nxt, u=u, v=v, uv=uv, vv=vv, lam_prec=lam_prec, lam=lam,
+                w_snap=w_snap, prec_snap=prec_snap).items()})
         frz = SimpleNamespace(n=nf, wsum=_region(wsum, (m, nf)), lam=_region(lam, (m, m, nf)), **{
             key: _region(a, (m, m, nf), at_back=True) for key, a in dict(
-                mu=mu, u=u, v=v, prec=uv, inv=vv, mu_snap=mu_snap).items()})
+                w=w, a=u, d=v, prec=uv, w_snap=w_snap).items()})
         return mov, frz
 
     mov, frz = regroup()
     snapped = False
     for left in reversed(range(sweeps)):  # the sweeps still to run after this one
         if mov.n:
-            np.divide(1.0, mov.var, out=mov.prec)
             np.add.reduce(mov.prec, axis=0, out=mov.psum)
             np.subtract(mov.psum[:, None], mov.prec.transpose(1, 0, 2), out=mov.lam_prec)
-            np.multiply(mov.mu, mov.prec, out=mov.mu)
-            np.divide(1.0, mov.lam_prec, out=mov.prec)  # 1/lam_prec from here on
-            _gbp2g_means(mov.mu, mov.prec, mov.u, mov.v, mov.wsum, mov.lam)
-            np.divide(mov.vv, mov.lam_prec, out=mov.lam_prec)
-            np.add(mov.uv, mov.lam_prec, out=mov.lam_prec)
-            # swap: var holds the new variances, lam_prec the previous ones
-            var, lam_prec, mov.var, mov.lam_prec = lam_prec, var, mov.lam_prec, mov.var
+            np.divide(mov.vv, mov.lam_prec, out=mov.nxt)
+            np.add(mov.uv, mov.nxt, out=mov.nxt)
+            np.divide(1.0, mov.nxt, out=mov.nxt)
+            np.divide(mov.nxt, mov.lam_prec, out=mov.lam_prec)  # prec'/lam_prec from here on
+            _gbp2g_spread(mov.w, mov.wsum, mov.lam)
+            np.multiply(mov.v, mov.lam_prec, out=mov.w)  # d
+            np.multiply(mov.lam, mov.w, out=mov.lam)
+            np.multiply(mov.u, mov.nxt, out=mov.w)  # a
+            np.add(mov.w, mov.lam, out=mov.w)
+            # swap: prec holds the new precisions, nxt the previous ones
+            prec, nxt, mov.prec, mov.nxt = nxt, prec, mov.nxt, mov.prec
         if frz.n:
-            np.multiply(frz.mu, frz.prec, out=frz.mu)
-            _gbp2g_means(frz.mu, frz.inv, frz.u, frz.v, frz.wsum, frz.lam)
+            _gbp2g_spread(frz.w, frz.wsum, frz.lam)
+            np.multiply(frz.lam, frz.d, out=frz.lam)
+            np.add(frz.a, frz.lam, out=frz.w)
         if not left or left % _PERIOD:
             continue
-        freeze_m = _same_bits(mov.var, mov.lam_prec)
+        freeze_m = _same_bits(mov.prec, mov.nxt)
         retire_m, retire_f = np.zeros(mov.n, bool), np.zeros(frz.n, bool)
         if snapped:
-            retire_m = _same_bits(mov.mu, mov.mu_snap) & _same_bits(mov.var, mov.var_snap)
-            retire_f = _same_bits(frz.mu, frz.mu_snap)
+            retire_m = _same_bits(mov.w, mov.w_snap) & _same_bits(mov.prec, mov.prec_snap)
+            retire_f = _same_bits(frz.w, frz.w_snap)
         freeze_m &= ~retire_m
         # a group gives up trials only once an eighth of it qualifies
         if 8 * np.count_nonzero(retire_m | freeze_m) < mov.n:
@@ -671,25 +678,29 @@ def gbp2g_batch(links: LinkTables, sweeps: int) -> np.ndarray:
         if 8 * np.count_nonzero(retire_f) < frz.n:
             retire_f[:] = False
         if retire_m.any() or freeze_m.any() or retire_f.any():
-            beliefs[:, ids[retire_m]] = _gbp2g_beliefs(_pick(retire_m, mov.mu),
-                                                       1.0 / _pick(retire_m, mov.var))
-            beliefs[:, f_ids[retire_f]] = _gbp2g_beliefs(_pick(retire_f, frz.mu),
+            beliefs[:, ids[retire_m]] = _gbp2g_beliefs(_pick(retire_m, mov.w),
+                                                       _pick(retire_m, mov.prec))
+            beliefs[:, f_ids[retire_f]] = _gbp2g_beliefs(_pick(retire_f, frz.w),
                                                          _pick(retire_f, frz.prec))
             keep_m, keep_f = ~(retire_m | freeze_m), ~retire_f
-            for flat, moving, frozen in ((mu, mov.mu, frz.mu), (u, mov.u, frz.u), (v, mov.v, frz.v)):
-                _repack(flat, _pick(keep_m, moving), _pick(keep_f, frozen), _pick(freeze_m, moving))
-            # a frozen trial keeps 1/var where u_var was and 1/lam_prec where v_var was
-            _repack(uv, _pick(keep_m, mov.uv), _pick(keep_f, frz.prec),
-                    1.0 / _pick(freeze_m, mov.var))
-            _repack(vv, _pick(keep_m, mov.vv), _pick(keep_f, frz.inv), _pick(freeze_m, mov.prec))
-            _repack(var, _pick(keep_m, mov.var))
+            # every moving trial's a and d as the sweep just run built them, which
+            # a freezing trial's later sweeps would rebuild bit for bit; in work
+            # space that the snapshots below overwrite
+            a = np.multiply(mov.u, mov.prec, out=mov.w_snap)
+            d = np.multiply(mov.v, mov.lam_prec, out=mov.lam)
+            for flat, moving, frozen, freezing in ((w, mov.w, frz.w, mov.w), (u, mov.u, frz.a, a),
+                                                   (v, mov.v, frz.d, d),
+                                                   (uv, mov.uv, frz.prec, mov.prec)):
+                _repack(flat, _pick(keep_m, moving), _pick(keep_f, frozen), _pick(freeze_m, freezing))
+            _repack(vv, _pick(keep_m, mov.vv))
+            _repack(prec, _pick(keep_m, mov.prec))
             ids, f_ids = ids[keep_m], np.concatenate([f_ids[keep_f], ids[freeze_m]])
             mov, frz = regroup()
-        for snap, now in ((mov.mu_snap, mov.mu), (mov.var_snap, mov.var), (frz.mu_snap, frz.mu)):
+        for snap, now in ((mov.w_snap, mov.w), (mov.prec_snap, mov.prec), (frz.w_snap, frz.w)):
             np.copyto(snap, now)
         snapped = True
-    beliefs[:, ids] = _gbp2g_beliefs(mov.mu, 1.0 / mov.var)
-    beliefs[:, f_ids] = _gbp2g_beliefs(frz.mu, frz.prec)
+    beliefs[:, ids] = _gbp2g_beliefs(mov.w, mov.prec)
+    beliefs[:, f_ids] = _gbp2g_beliefs(frz.w, frz.prec)
     return beliefs.T
 
 

@@ -54,6 +54,7 @@ def build_parser():
 
     p = subs.add_parser("detect", help="single-instance diagnostic report")
     _common_flags(p)
+    p.add_argument("--sweeps", help="sweep cap for the Gaussian detectors")
     p.add_argument("--dump", action="store_true", help="emit the full JSON report")
 
     p = subs.add_parser("iterstudy", help="BER versus iteration count for BP2/BP3")

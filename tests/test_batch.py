@@ -376,10 +376,13 @@ def _bits(a):
 
 def test_gaussian_batches_independent_of_partitioning():
     # 5x6 QAM16 in halves of 37; 8x8 QPSK in 256 + 255 + 1 trials of a
-    # 512-trial batch, whose GBP2G trials freeze and retire at different sweeps
+    # 512-trial batch, whose GBP2G trials freeze and retire at different
+    # sweeps; 4x4 QPSK in 7 + 293 + 212, where a group's one-eighth gate
+    # lets trials freeze at other sweeps in each part than in the whole
     for m, n, name, snr, trials, cuts, order in (
             (5, 6, "QAM16", 25.0, 74, (37,), (3, 0, 4, 1, 2)),
-            (8, 8, "QPSK", 20.0, 512, (256, 511), (6, 7, 0, 1, 2, 3, 4, 5))):
+            (8, 8, "QPSK", 20.0, 512, (256, 511), (6, 7, 0, 1, 2, 3, 4, 5)),
+            (4, 4, "QPSK", 10.0, 512, (7, 300), (2, 0, 3, 1))):
         c = get_constellation(name)
         sigma2 = 10.0 ** (-snr / 10.0)
         cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=3)
@@ -477,31 +480,29 @@ def test_gbp3g_keeps_every_bit(m):
 
 
 def _plain_gbp2g_states(links, sweeps):
-    """(mu, var), trials last, after 0, 1, ..., ``sweeps`` sweeps of the
-    fully-connected Gaussian recursion run on every trial every sweep: the
-    plain sweep whose bits gbp2g_batch must keep."""
+    """(w, prec), trials last, after 0, 1, ..., ``sweeps`` sweeps of the
+    fully-connected Gaussian recursion in information form (weighted means
+    and precisions) run on every trial every sweep: the plain sweep whose
+    bits gbp2g_batch must keep."""
     m = links.a_diag.shape[1]
     u, v, uv, vv = (np.ascontiguousarray(a.transpose(2, 1, 0))
                     for a in (links.u, links.v, links.u_var, links.v_var))
     self_edge = (np.arange(m), np.arange(m))
     uv[self_edge] = np.inf
-    mu = np.zeros(u.shape, dtype=complex)
-    var = np.ones(u.shape)
-    var[self_edge] = np.inf
-    yield mu, var
+    w = np.zeros(u.shape, dtype=complex)
+    prec = np.ones(u.shape)
+    prec[self_edge] = 0.0
+    yield w, prec
     for _ in range(sweeps):
-        prec = 1.0 / var
-        wmean = mu * prec
         lam_prec = prec.sum(axis=0)[:, None] - prec.transpose(1, 0, 2)
-        lam_mean = (wmean.sum(axis=0)[:, None] - wmean.transpose(1, 0, 2)) * (1.0 / lam_prec)
-        var = uv + vv / lam_prec
-        mu = u + v * lam_mean
-        yield mu, var
+        prec = 1.0 / (uv + vv / lam_prec)
+        d = np.multiply(v, prec / lam_prec)
+        w = u * prec + np.multiply(w.sum(axis=0)[:, None] - w.transpose(1, 0, 2), d)
+        yield w, prec
 
 
-def _plain_gbp2g_means(mu, var):
-    prec = 1.0 / var
-    return ((mu * prec).sum(axis=0) * (1.0 / prec.sum(axis=0))).T
+def _plain_gbp2g_means(w, prec):
+    return (w.sum(axis=0) * (1.0 / prec.sum(axis=0))).T
 
 
 def _same_state(a, b):
@@ -512,10 +513,10 @@ def _same_state(a, b):
 class _ShortcutPaths:
     """Replays gbp2g_batch's decisions on a plain trajectory of ``sweeps``
     sweeps and counts the trials that take each shortcut: ``freeze``,
-    ``retire`` and ``cycle`` (retired while the variances still move).
+    ``retire`` and ``cycle`` (retired while the precisions still move).
 
     Checks fall after t sweeps with sweeps - t a positive multiple of 8; a
-    trial freezes when its variances equal the previous sweep's and retires
+    trial freezes when its precisions equal the previous sweep's and retires
     when its state equals the one 8 sweeps (one check) earlier; a group moves
     only when an eighth of it qualifies."""
 
@@ -549,7 +550,7 @@ GBP2G_SWEEPS = (0, 1, 7, 8, 9, 37, 199, 200, 1000)
 @pytest.mark.parametrize("name", ["QPSK", "QAM16"])
 @pytest.mark.parametrize("m", [3, 4, 5, 8])
 def test_gbp2g_shortcuts_keep_every_bit(m, name):
-    """gbp2g_batch freezes settled variances and retires trials whose state
+    """gbp2g_batch freezes settled precisions and retires trials whose state
     repeats; its means must equal the plain sweep's bit for bit, over SNR,
     sweep counts and batch sizes, and every shortcut must be taken."""
     c = get_constellation(name)
@@ -564,13 +565,13 @@ def test_gbp2g_shortcuts_keep_every_bit(m, name):
             sweep_counts = [s for s in GBP2G_SWEEPS if trials < 512 or s <= 200]
             paths = [_ShortcutPaths(s, trials) for s in sweep_counts]
             want, recent = {}, deque(maxlen=9)
-            for done, (mu, var) in enumerate(_plain_gbp2g_states(t, max(sweep_counts))):
-                recent.append((mu, var))
+            for done, (w, prec) in enumerate(_plain_gbp2g_states(t, max(sweep_counts))):
+                recent.append((w, prec))
                 if done in sweep_counts:
-                    want[done] = _plain_gbp2g_means(mu, var)
+                    want[done] = _plain_gbp2g_means(w, prec)
                 if done:
-                    settled = _same_state(var, recent[-2][1])
-                    repeats = _same_state(mu, recent[0][0]) & _same_state(var, recent[0][1])
+                    settled = _same_state(prec, recent[-2][1])
+                    repeats = _same_state(w, recent[0][0]) & _same_state(prec, recent[0][1])
                     for p in paths:
                         p.check(done, settled, repeats)
             for sweeps, ref in want.items():

@@ -325,6 +325,13 @@ class TestFormats:
         payload = json.loads(out.read_text())
         assert "BP2" in payload["records"]["detectors"]
 
+    def test_detect_caps_the_gaussian_sweeps(self):
+        res = run_cli("detect", "--m", "3", "--n", "3", "--detectors", "GBP2G", "--sweeps", "2")
+        assert res.returncode == 0, res.stderr
+        sweeps = [int(word.split("=")[1]) for word in res.stdout.split()
+                  if word.startswith("sweeps=")]
+        assert sweeps and max(sweeps) <= 2
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("trials = 40\nseed = 5\ndetectors = LMMSE\nsnr_db = 8\n")
