@@ -458,8 +458,8 @@ def _run_arms(cfg: SimConfig, arms):
         errors = [[] for _ in arms]
         totals = [0] * len(arms)
         elapsed = [0.0] * len(arms)
-        hard_cap = cfg.max_trials or (cfg.trials if cfg.target_errors is None
-                                      else 100 * cfg.trials)
+        hard_cap = (cfg.trials if cfg.target_errors is None
+                    else cfg.max_trials or 100 * cfg.trials)
         done = 0
         while done < hard_cap:
             count = min(cfg.batch_size, hard_cap - done)
@@ -712,6 +712,9 @@ def render_json(command: str, cfg: SimConfig, records) -> str:
 
 
 def render(command: str, cfg: SimConfig, records) -> str:
+    """JSON, or at ``fmt`` csv a CSV table, but ``detect``'s text report."""
     if cfg.fmt == "json":
         return render_json(command, cfg, records)
+    if command == "detect":
+        return format_report(records) + "\n"
     return render_csv(command, cfg, records)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -12,6 +13,11 @@ CLI = [sys.executable, "-m", "mimobp.cli"]
 
 def run_cli(*args, timeout=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=timeout)
+
+
+def with_trials(args, count):
+    """``args``, plus ``--trials count`` where the subcommand reads trials."""
+    return (*args, "--trials", count) if args[0] in ("simulate", "iterstudy") else args
 
 
 def strip_elapsed(text):
@@ -81,7 +87,7 @@ class TestExitCodes:
         ("simulate", "--target-errors", "-5"),
     ])
     def test_sweep_count_below_one_exits_two(self, args):
-        res = run_cli(*args, "--trials", "50", "--snr-db", "10")
+        res = run_cli(*with_trials(args, "50"), "--snr-db", "10")
         assert res.returncode == 2
         assert "must be >= 1" in res.stderr and res.stdout == ""
         assert "Traceback" not in res.stderr
@@ -132,7 +138,7 @@ class TestExitCodes:
         ("detect", "--snr-db", "nan"),
     ])
     def test_snr_without_a_finite_positive_noise_power_exits_two(self, args):
-        res = run_cli(*args, "--trials", "5", timeout=60)
+        res = run_cli(*with_trials(args, "5"), timeout=60)
         assert res.returncode == 2
         assert "config error" in res.stderr and "snr_db" in res.stderr
         assert res.stdout == "" and "Traceback" not in res.stderr
@@ -145,7 +151,7 @@ class TestExitCodes:
     def test_snr_beyond_100_db_exits_two(self, args):
         """Finite SNRs past +-100 dB drive the kernels into NaN beliefs, so
         they are config errors rather than meaningless counts."""
-        res = run_cli(*args, "--trials", "5", timeout=60)
+        res = run_cli(*with_trials(args, "5"), timeout=60)
         assert res.returncode == 2
         assert "config error" in res.stderr and "100" in res.stderr
         assert res.stdout == "" and "Traceback" not in res.stderr
@@ -160,7 +166,7 @@ class TestExitCodes:
     ])
     def test_snr_at_the_limits_runs_without_warnings(self, args, snr):
         res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mimobp.cli",
-                              *args, f"--snr-db={snr}", "--trials", "10"],
+                              *with_trials(args, "10"), f"--snr-db={snr}"],
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stderr == ""
@@ -320,10 +326,10 @@ class TestFormats:
         assert "[BP2]" in res.stdout and "sum=1.0000" in res.stdout
         out = tmp_path / "d.json"
         res = run_cli("detect", "--seed", "4", "--snr-db", "10",
-                      "--detectors", "ML,BP2,LMMSE", "--dump", "--out", str(out))
+                      "--detectors", "ML,BP2,LMMSE", "--format", "json", "--out", str(out))
         assert res.returncode == 0
         payload = json.loads(out.read_text())
-        assert "BP2" in payload["records"]["detectors"]
+        assert "BP2" in payload["records"]["detectors"] and payload["config"]["fmt"] == "json"
 
     def test_detect_caps_the_gaussian_sweeps(self):
         res = run_cli("detect", "--m", "3", "--n", "3", "--detectors", "GBP2G", "--sweeps", "2")
@@ -399,3 +405,44 @@ def test_flag_and_config_line_give_one_config(tmp_path, key, text, command, flag
     by_file = cli._config_from_args(parser.parse_args([command, "--config", str(cfgfile)]))
     assert by_flag == by_file
     assert by_flag != cli._config_from_args(parser.parse_args([command]))
+
+
+_INSTANCE_FLAGS = ("--seed", "--snr-db", "--detectors", "--permutation", "--out", "--format",
+                   "--m", "--n", "--constellation")
+_BER_FLAGS = _INSTANCE_FLAGS + ("--trials", "--target-errors", "--max-trials", "--batch-size")
+
+
+def test_each_subcommand_takes_the_flags_of_the_keys_it_reads():
+    from mimobp import cli
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    taken = {command: {flag for action in sub._actions for flag in action.option_strings}
+             - {"-h", "--help"} for command, sub in subs.choices.items()}
+    assert taken == {
+        "simulate": {"--config", *_BER_FLAGS, "--iterations", "--gbp-sweeps"},
+        "iterstudy": {"--config", *_BER_FLAGS, "--iter-list"},
+        "converge": {"--config", *_INSTANCE_FLAGS, "--channels", "--sweeps"},
+        "detect": {"--config", *_INSTANCE_FLAGS, "--sweeps", "--iterations"},
+    }
+    assert sum(map(len, taken.values())) == 55
+
+
+@pytest.mark.parametrize("args", [
+    ("converge", "--trials", "5"),
+    ("converge", "--target-errors", "5"),
+    ("converge", "--max-trials", "500"),
+    ("converge", "--iterations", "3"),
+    ("converge", "--batch-size", "64"),
+    ("detect", "--trials", "5"),
+    ("detect", "--target-errors", "5"),
+    ("detect", "--max-trials", "500"),
+    ("detect", "--batch-size", "64"),
+    ("detect", "--dump"),
+    ("iterstudy", "--iterations", "3"),
+])
+def test_a_flag_the_subcommand_does_not_read_exits_two(args):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert f"unrecognized arguments: {' '.join(args[1:])}" in res.stderr
+    assert res.stdout == "" and "Traceback" not in res.stderr
+

@@ -234,6 +234,23 @@ class TestRunSimulate:
             assert 0.0 <= rec.ber <= 1.0
             assert rec.ber == rec.bit_errors / (rec.trials * 4 * 2)
 
+    @pytest.mark.parametrize("target_errors,drawn", [(None, [200, 200]), (10 ** 6, [800, 800])])
+    def test_max_trials_caps_only_target_error_runs(self, monkeypatch, target_errors, drawn):
+        """Trials generated per SNR point: --trials at a fixed count, even
+        with max_trials set, and up to max_trials in target-error mode."""
+        asked = {}
+        generate = sim.generate_batch
+
+        def counted(cfg, constellation, sigma2, snr_idx, start, count):
+            asked[snr_idx] = asked.get(snr_idx, 0) + count
+            return generate(cfg, constellation, sigma2, snr_idx, start, count)
+
+        monkeypatch.setattr(sim, "generate_batch", counted)
+        cfg = SimConfig(snr_db=(6.0, 10.0), detectors=("LMMSE",), trials=200, max_trials=800,
+                        target_errors=target_errors, batch_size=512).validate()
+        assert [r.trials for r in run_simulate(cfg)] == drawn
+        assert [asked[i] for i in range(2)] == drawn
+
     @pytest.mark.parametrize("detectors,factored", [
         (("LMMSE", "FB", "BP2", "GBP3G"), [32, 32, 6]), (("ML", "MAP", "BP1"), [])])
     def test_one_posterior_per_generated_batch(self, monkeypatch, detectors, factored):
