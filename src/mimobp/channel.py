@@ -39,6 +39,64 @@ class ChannelInstance:
         return self.H.shape[1]
 
 
+# Half-width of the band around a level midpoint, in units of
+# (peak + |x|^2) / spacing, inside which Constellation.slice_hard defers to
+# argmin. There the np.abs distances to the two points either side differ by
+# at least ``spacing * gap / |d|``, and their rounding by at most about
+# 3 * 2^-52 |d|, so a gap above 6 * 2^-52 (peak + |x|^2) / spacing keeps
+# them apart; 2^-40 leaves a margin of 2^9.
+_GRID_GUARD = 2.0 ** -40
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Per-axis slicing tables of a constellation whose points are a product
+    of real and imaginary levels.
+
+    ``bounds_*`` holds an axis's level midpoints and, between them, the
+    centre of each inner cell, so a ``searchsorted`` index k names both the
+    cell and the nearer of its two midpoints, ``nearest_*[k]``. ``table``
+    maps the pair of indices to the point.
+    """
+
+    bounds_re: np.ndarray
+    bounds_im: np.ndarray
+    nearest_re: np.ndarray
+    nearest_im: np.ndarray
+    table: np.ndarray
+    guard: float  # _GRID_GUARD / smallest level spacing
+    peak: float  # largest |point|^2
+
+
+def _axis(levels):
+    """(bounds, cell by searchsorted index, nearest midpoint by index)."""
+    mids = (levels[:-1] + levels[1:]) / 2
+    bounds = np.empty(2 * mids.size - 1)
+    bounds[0::2] = mids
+    bounds[1::2] = (mids[:-1] + mids[1:]) / 2
+    k = np.arange(bounds.size + 1)
+    return bounds, (k + 1) // 2, mids[np.minimum(k // 2, mids.size - 1)]
+
+
+def _product_grid(points):
+    """The _Grid of ``points``, or None when they are not a product grid of
+    at least two levels on each axis."""
+    levels_re, row = np.unique(points.real, return_inverse=True)
+    levels_im, col = np.unique(points.imag, return_inverse=True)
+    if min(levels_re.size, levels_im.size) < 2 or levels_re.size * levels_im.size != points.size:
+        return None
+    table = np.full((levels_re.size, levels_im.size), -1, dtype=np.intp)
+    table[row, col] = np.arange(points.size)
+    if (table < 0).any():
+        return None
+    bounds_re, cell_re, nearest_re = _axis(levels_re)
+    bounds_im, cell_im, nearest_im = _axis(levels_im)
+    spacing = min(np.diff(levels_re).min(), np.diff(levels_im).min())
+    return _Grid(bounds_re, bounds_im, nearest_re, nearest_im,
+                 table[cell_re[:, None], cell_im], _GRID_GUARD / spacing,
+                 float(np.max(np.abs(points) ** 2)))
+
+
 @dataclass(frozen=True, eq=False)
 class Constellation:
     """Finite symbol alphabet with bit labels and a prior pmf.
@@ -67,6 +125,7 @@ class Constellation:
         energy = float(np.sum(self.prior * np.abs(self.points) ** 2))
         if abs(energy - 1.0) > 1e-12:
             raise ValueError(f"average symbol energy must be 1, got {energy}")
+        object.__setattr__(self, "_grid", _product_grid(self.points))
 
     @property
     def size(self):
@@ -90,8 +149,45 @@ class Constellation:
         return lut[keys]
 
     def slice_hard(self, values):
-        """Nearest-point indices for arbitrary complex values."""
+        """Nearest-point indices for arbitrary complex values.
+
+        The index of the point nearest each value by ``np.abs`` distance,
+        ties to the lowest index: equal, value by value, to
+        ``argmin(abs(values[..., None] - points), axis=-1)``.
+
+        On a product grid (QPSK, QAM16) each axis is sliced on its own, by a
+        ``searchsorted`` against its level midpoints. A value goes to the
+        ``argmin`` instead when it is not finite, or when either axis lies
+        within ``2^-40 (P + |x|^2) / s`` of a level midpoint, P the largest
+        point energy and s the smallest level spacing. Inside that band
+        rounding could make two ``np.abs`` distances equal, and ``argmin``
+        takes the lower index; as |x| grows the band covers whole cells,
+        which sends every very large value to ``argmin``. Every value goes
+        to ``argmin`` when the points are not a product grid.
+        """
         values = np.asarray(values)
+        grid = self._grid
+        if grid is None:
+            return self._nearest(values)
+        # contiguous copies: each pass below runs faster than on strided views
+        re, im = np.ascontiguousarray(values.real), np.ascontiguousarray(values.imag)
+        k_re = np.searchsorted(grid.bounds_re, re)
+        k_im = np.searchsorted(grid.bounds_im, im)
+        hard = grid.table[k_re, k_im]
+        with np.errstate(over="ignore"):  # an |x|^2 that overflows gives an infinite band
+            band = re * re
+            band += im * im
+            band += grid.peak
+            band *= grid.guard
+        # not (gap > band), so a NaN gap or band falls back too
+        safe = np.abs(re - grid.nearest_re[k_re]) > band
+        safe &= np.abs(im - grid.nearest_im[k_im]) > band
+        if not safe.all():
+            loose = ~safe
+            hard[loose] = self._nearest(values.reshape(re.shape)[loose])
+        return hard.reshape(values.shape)[()]
+
+    def _nearest(self, values):
         return np.argmin(np.abs(values[..., None] - self.points), axis=-1)
 
 

@@ -57,7 +57,7 @@ def build_parser():
                                      description="pairwise-graph BP MIMO detector simulator")
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (text, keys, _) in _COMMANDS.items():
-        p = subs.add_parser(command, help=text)
+        p = subs.add_parser(command, help=text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file; flags override it")
         for key in keys:
             if key == "fmt":

@@ -440,6 +440,7 @@ def _run_arms(cfg: SimConfig, arms):
     if lattice:
         check_lattice_capacity(cfg.m, constellation, "detectors " + ",".join(lattice))
     labels = constellation.bit_labels
+    hamming = np.sum(labels[:, None] != labels, axis=2)  # bit errors by (decided, sent) point
     bits_per_trial = cfg.m * constellation.bits_per_symbol
     counts = [k if k is not None else
               cfg.gbp_sweeps if d.startswith("GBP") else cfg.iteration_count(d)
@@ -464,7 +465,6 @@ def _run_arms(cfg: SimConfig, arms):
         while done < hard_cap:
             count = min(cfg.batch_size, hard_cap - done)
             H, idx_true, y = generate_batch(cfg, constellation, sigma2, snr_idx, done, count)
-            bits_true = labels[idx_true]
             posterior = batch.factor_posterior(H, y, sigma2) if factored else None
             tables = batch.link_tables(H, y, sigma2, posterior=posterior) if linked else None
             _read_only(H, y, *(posterior or ()), *(vars(tables).values() if tables else ()))
@@ -489,7 +489,7 @@ def _run_arms(cfg: SimConfig, arms):
             _run_tasks(([lattice] if on_lattice else []) + [partial(decide, a) for a in tasked],
                        share=two_cpus and count >= _LANE_MIN_TRIALS)
             for a, parts in enumerate(decided):
-                errors[a].append(np.sum(labels[np.concatenate(parts)] != bits_true, axis=(1, 2)))
+                errors[a].append(hamming[np.concatenate(parts), idx_true].sum(axis=1))
                 totals[a] += int(errors[a][-1].sum())
             done += count
             if _stopping_met(cfg, totals, done):

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimobp import (ChannelInstance, draw_channel, get_constellation, qam16,
-                    qpsk, transmit, trial_rng)
+from mimobp import (ChannelInstance, Constellation, draw_channel, get_constellation,
+                    qam16, qpsk, transmit, trial_rng)
 from mimobp.channel import consecutive_streams
 
 
@@ -73,6 +75,94 @@ class TestConstellations:
         c = qam16()
         idx = np.random.default_rng(seed).integers(0, c.size, m)
         assert np.array_equal(c.indices_from_bits(c.bits_for(idx)), idx)
+
+
+def _rotated_qpsk():
+    c = qpsk()
+    return Constellation("QPSK-rot", c.points * np.exp(0.3j), 2, c.bit_labels, c.prior)
+
+
+def _argmin_slice(c, values):
+    values = np.asarray(values)
+    return np.argmin(np.abs(values[..., None] - c.points), axis=-1)
+
+
+def _midpoints(c):
+    mids = []
+    for axis in (c.points.real, c.points.imag):
+        levels = np.unique(axis)
+        mids.extend((levels[:-1] + levels[1:]) / 2)
+    return np.unique(mids)
+
+
+def _slicer_probes(c):
+    """Values where slicing each axis on its own could part from argmin."""
+    g = np.random.default_rng(8)
+    probes = [s * (g.standard_normal(500) + 1j * g.standard_normal(500))
+              for s in (1e-300, 1e-6, 0.3, 1.0, 4.0, 1e4, 1e8, 1e150, 1e300)]
+    tiny = np.concatenate([np.logspace(-300, -12, 15), [1e-9, 1e-6, 1e-3]])
+    mids = _midpoints(c)[:, None]
+    on_axis = np.concatenate([(mids + np.concatenate([[0.0, -0.0], tiny, -tiny])).ravel(),
+                              (mids + np.arange(-3, 4) * np.spacing(mids)).ravel()])
+    for other in (0.0, -0.0, 0.1, 3.0, -3.0, 1e8, -1e8, 1e16):
+        probes += [on_axis + 1j * other, other + 1j * on_axis]
+    # a small offset from a midpoint and a large other axis: np.abs rounds
+    # the distances to the points either side equal
+    for other in (1e4, 1e6, 1e8, 1e9):
+        near = (mids + np.linspace(-1, 1, 41) * other ** 2 * 2.0 ** -40).ravel()
+        probes += [near + 1j * other, other + 1j * near]
+    special = (np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, 1e308, -1.7e308)
+    probes.append(np.array([complex(a, b) for a in special for b in special]))
+    return np.concatenate([np.ravel(p) for p in probes])
+
+
+class TestSliceHard:
+    """Constellation.slice_hard against the full nearest-point search."""
+
+    CONSTELLATIONS = [qpsk(), qam16(), _rotated_qpsk()]
+
+    def test_only_product_grids_slice_per_axis(self):
+        assert qpsk()._grid is not None and qam16()._grid is not None
+        assert _rotated_qpsk()._grid is None
+
+    def test_probes_hold_rounding_ties(self):
+        c = qpsk()
+        x = -1e-9 + 1e8j  # nearer point 2, at negative real part, than point 0
+        d = np.abs(x - c.points)
+        assert d[0] == d[2] and _argmin_slice(c, x) == 0
+        assert np.any(_slicer_probes(c) == x)
+
+    @pytest.mark.parametrize("c", CONSTELLATIONS, ids=lambda c: c.name)
+    def test_equals_argmin_value_by_value(self, c):
+        probes = _slicer_probes(c)
+        shaped = [probes, probes[7], probes[11:23].reshape(3, 4),
+                  probes[:2048].reshape(4, 512).T,  # non-contiguous, as LMMSE's xhat
+                  probes[:2049].reshape(3, 683)[:, ::2]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values in shaped:
+                want = _argmin_slice(c, values)
+                got = c.slice_hard(values)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert got.dtype == want.dtype
+                mismatch = np.flatnonzero(np.ravel(got != want))
+                assert mismatch.size == 0, np.ravel(values)[mismatch[:5]]
+
+    @pytest.mark.parametrize("c", CONSTELLATIONS, ids=lambda c: c.name)
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_argmin_on_drawn_values(self, c, data):
+        axis = st.one_of(st.floats(), st.builds(lambda m, d: m + d, st.sampled_from(_midpoints(c)),
+                                                st.floats(-1e-12, 1e-12)))
+        values = np.array(data.draw(st.lists(st.builds(complex, axis, axis), min_size=1,
+                                             max_size=40)))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            want = _argmin_slice(c, values)
+        with warnings.catch_warnings():
+            if not seen:  # silent under argmin, so silent here too
+                warnings.simplefilter("error")
+            assert np.array_equal(c.slice_hard(values), want)
 
 
 class TestTransmit:

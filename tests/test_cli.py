@@ -439,6 +439,8 @@ def test_each_subcommand_takes_the_flags_of_the_keys_it_reads():
     ("detect", "--batch-size", "64"),
     ("detect", "--dump"),
     ("iterstudy", "--iterations", "3"),
+    ("iterstudy", "--iter", "3"),  # a prefix of --iter-list alone
+    ("simulate", "--det", "ML"),  # a prefix of --detectors alone
 ])
 def test_a_flag_the_subcommand_does_not_read_exits_two(args):
     res = run_cli(*args)
