@@ -195,7 +195,9 @@ def _kron_tables(tables, out):
     ``tables`` (digits, Q, ...): [row, s_0, s_1, ...] = out[row] + tables[0][s_0]
     + tables[1][s_1] + ..., flattened in lexicographic order, last digit fastest."""
     for table in tables:
-        out = (out[:, None] + table).reshape((-1,) + table.shape[1:])
+        # an explicit length, as in lattice_residuals and bp1_batch: numpy
+        # cannot resolve a -1 at zero trials
+        out = (out[:, None] + table).reshape((len(out) * len(table),) + table.shape[1:])
     return out
 
 
@@ -219,7 +221,7 @@ def lattice_residuals(H, y, constellation):
     diff = np.empty(trail.shape, dtype=complex)
     for a, row in enumerate(lead):
         np.abs(np.subtract(row, trail, out=diff), out=sq[a])
-    sq = sq.reshape(-1, n_rx, B)
+    sq = sq.reshape(len(lead) * len(trail), n_rx, B)
     return np.square(sq, out=sq)
 
 
@@ -725,7 +727,7 @@ def bp1_batch(H, y, sigma2, constellation: Constellation, iterations: int,
     size = constellation.size
     n_fac = residuals.shape[1]  # residuals: (L, F, B)
     k = m // 2
-    ll = np.divide(residuals, -sigma2).reshape((size ** k, -1, n_fac, B))
+    ll = np.divide(residuals, -sigma2).reshape((size ** k, size ** (m - k), n_fac, B))
     work = np.empty_like(ll)
     log_prior = np.log(constellation.prior)[:, None]
     lam = np.broadcast_to(log_prior[:, :, None], (m, size, n_fac, B))  # [j, s, f, b]

@@ -120,10 +120,15 @@ class Constellation:
             raise ValueError("need exactly 2^m points")
         if self.bit_labels.shape != (size, self.bits_per_symbol):
             raise ValueError("bit_labels shape mismatch")
-        if abs(self.prior.sum() - 1.0) > 1e-15:
+        # each check is written so that NaN fails it
+        if not np.isfinite(self.points).all():
+            raise ValueError("points must be finite")
+        if not (np.isfinite(self.prior).all() and (self.prior >= 0).all()):
+            raise ValueError("prior must be finite and non-negative")
+        if not abs(self.prior.sum() - 1.0) <= 1e-15:
             raise ValueError("prior must sum to 1")
         energy = float(np.sum(self.prior * np.abs(self.points) ** 2))
-        if abs(energy - 1.0) > 1e-12:
+        if not abs(energy - 1.0) <= 1e-12:
             raise ValueError(f"average symbol energy must be 1, got {energy}")
         object.__setattr__(self, "_grid", _product_grid(self.points))
 

@@ -10,7 +10,9 @@ class ConfigError(MimobpError):
 
 
 class CapacityError(MimobpError):
-    """An exhaustive-search detector was asked to enumerate too large a lattice."""
+    """An exhaustive-search detector was asked to enumerate too large a
+    lattice, or a run's helper process ended without a result, as under the
+    out-of-memory killer."""
 
 
 class NumericalError(MimobpError):

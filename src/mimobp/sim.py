@@ -20,8 +20,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import pickle
+import signal
 import threading
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
@@ -30,7 +33,7 @@ import numpy as np
 from . import batch
 from .channel import ChannelInstance, consecutive_streams, get_constellation, trial_rng
 from .discrete_bp import BpConfig, bp1_factor_graph, bp2_fully_connected, bp3_ring, hard_decide, soft_output
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .exact import check_lattice_capacity, lmmse, map_marginals, ml_hard
 from .gaussian_bp import GbpConfig, affine_ops, convergence_metric, fixed_point, gbp2g, gbp3g
 from .pairwise import Topology, build_graph, ring_order
@@ -41,15 +44,11 @@ LATTICE_DETECTORS = ("MAP", "ML", "BP1")
 LINKED_DETECTORS = ("BP2", "BP3", "GBP2G", "GBP3G")  # read batch.link_tables
 POSTERIOR_DETECTORS = ("LMMSE", "FB") + LINKED_DETECTORS  # read batch.factor_posterior
 DEFAULT_ITERATIONS = {"BP1": 4, "BP2": 3, "BP3": 4, "FB": 4}
-# The tasks of a generated batch, longest first, as traced on the benchmark
-# workloads: the lattice arms (ML, MAP and BP1 on shared residual tables),
-# then one per other iterative arm. LMMSE is no task; see _run_arms.
-_TASK_ORDER = ("lattice", "GBP2G", "BP2", "FB", "BP3", "GBP3G")
-# Batches of fewer trials run on one lane. numpy lets go of the GIL only in
-# loops over more than 500 elements, and a handoff of the GIL between the
-# lanes costs about as much as a loop over a few thousand; so on small
-# batches the second lane adds handoffs and hardly any overlap. Two lanes
-# ran 1.1 to 1.4x slower than one at 16 to 128 trials per batch (CHANGES.md).
+# Batches of fewer trials run in one process: a split runs two half-size
+# sets of numpy calls in place of one, and adds a pipe round trip and, at
+# the first split of a run, a fork of about 3 ms. On the three benchmark
+# shapes, split runs of 2048 trials were 0.68 to 0.93x as fast as one
+# process at 16 and 32 trials per batch, and 1.14 to 1.39x at 256 (2 vCPUs).
 _LANE_MIN_TRIALS = 256
 
 
@@ -335,54 +334,127 @@ def _detect_batch(detector, count, H, y, sigma2, constellation, posterior, table
 
 def _cpus():
     """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
-def _run_tasks(tasks, share):
-    """Call each of ``tasks`` once, on this thread and, if ``share`` holds
-    and there are two or more tasks, on a worker thread as well, started
-    for this call and joined before it returns.
-
-    Each lane takes the next task in list order until none is left, so the
-    longest tasks, listed first, start first. Returns once both lanes are
-    idle. If tasks raised, the exception of the first of them in list order
-    is raised. A lane takes no task after one has raised, but every task
-    listed before a raising one was taken before it and has run, so the
-    exception raised does not depend on which lane ran what.
+class _Helper:
+    """The second process of one ``_run_arms`` call: a copy of this one,
+    forked at the first batch that ``run`` splits and sent every later
+    split of the call over a job pipe. It answers with ``work``'s pickled
+    result, or the exception ``work`` raised, re-raised here with its type;
+    one that ends without a result raises CapacityError naming its signal.
+    On leaving the ``with`` block it is reaped, and killed first when an
+    exception is leaving, so no process outlives the call.
     """
-    failed = {}
-    taken = iter(range(len(tasks)))
-    lock = threading.Lock()
 
-    def lane():
-        while not failed:
-            with lock:
-                t = next(taken, None)
-            if t is None:
-                return
-            try:
-                tasks[t]()
-            except BaseException as exc:  # re-raised below, once both lanes are idle
-                failed[t] = exc
+    def __init__(self, work):
+        self._work = work
+        self._pid = None  # until the first split
+        self._alive = False  # forked and not yet reaped
 
-    worker = threading.Thread(target=lane, name="mimobp-lane") if share and len(tasks) > 1 else None
-    if worker is not None:
-        worker.start()
+    def run(self, snr_idx, sigma2, first, count):
+        """``work``'s results on trials [first, first + count), in trial
+        order: whole, or, from ``_LANE_MIN_TRIALS`` trials where a fork is
+        safe, this process's first half and then the helper's second."""
+        half = count // 2
+        if count < _LANE_MIN_TRIALS or not half or (self._pid is None and not self._start()):
+            return [self._work(snr_idx, sigma2, first, count)]
+        try:
+            os.write(self._jobs, pickle.dumps((snr_idx, sigma2, first + half, count - half)))
+        except BrokenPipeError:
+            raise self._lost() from None
+        mine = self._work(snr_idx, sigma2, first, half)
+        try:
+            theirs = pickle.load(self._results)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._lost() from None
+        if isinstance(theirs, BaseException):
+            raise theirs
+        return [mine, theirs]
+
+    def _start(self):
+        """Fork the helper, if the process is on Linux (``os.fork`` and
+        ``os.sched_getaffinity`` both exist; macOS's system BLAS is not safe
+        across a fork), may run on two or more CPUs, and has no other Python
+        thread, which could hold a lock the child needs. Whether it forked."""
+        if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and threading.active_count() == 1 and _cpus() > 1):
+            return False
+        jobs, self._jobs = os.pipe()
+        results, sent = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 warns at a fork of any process with two or more OS
+            # threads. No Python thread but this one runs (checked above), and
+            # OpenBLAS, whose pool is the usual other thread, shuts that pool
+            # down before a fork and starts it again when next called.
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            os.close(self._jobs)
+            os.close(results)
+            _serve(self._work, jobs, sent)
+        self._pid, self._alive = pid, True
+        os.close(jobs)
+        os.close(sent)
+        self._results = os.fdopen(results, "rb")
+        return True
+
+    def _lost(self):
+        """The error for a helper that ended without a result, once reaped."""
+        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        self._alive = False
+        how = (f"exit code {code}" if code >= 0 else
+               "signal " + next((s.name for s in signal.Signals if s == -code), str(-code)))
+        return CapacityError(f"the helper process that runs half of each batch ended by {how} "
+                             f"without a result (the out-of-memory killer sends SIGKILL; a "
+                             f"smaller --batch-size needs less memory)")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._pid is None:
+            return
+        if exc_type is not None and self._alive:
+            os.kill(self._pid, signal.SIGKILL)
+        os.close(self._jobs)  # the end of its jobs: a live helper exits
+        self._results.close()
+        if self._alive:
+            os.waitpid(self._pid, 0)
+            self._alive = False
+
+
+def _serve(work, jobs, results):
+    """The helper's life: call ``work`` on each job read from fd ``jobs``
+    and write its pickled result, or the exception it raised, to fd
+    ``results``, until the jobs end. It never returns: it leaves through
+    ``os._exit``, so no atexit handler runs and no stdio buffer copied from
+    the parent is flushed a second time. Ctrl-C reaches the parent, which
+    kills it, so it ignores SIGINT."""
+    code = 1
     try:
-        lane()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with os.fdopen(jobs, "rb") as reader, os.fdopen(results, "wb") as writer:
+            while True:
+                try:
+                    job = pickle.load(reader)
+                except EOFError:
+                    break
+                try:
+                    out = pickle.dumps(work(*job))
+                except Exception as exc:  # raised again in the parent
+                    out = pickle.dumps(exc)
+                writer.write(out)
+                writer.flush()
+        code = 0
     finally:
-        if worker is not None:
-            worker.join()
-    if failed:
-        raise failed[min(failed)]
+        os._exit(code)
 
 
 def _read_only(*arrays):
     """Mark ``arrays`` read-only, so that a kernel writing into input that
-    both lanes read raises instead of racing."""
+    the arms after it read raises instead of changing their bits."""
     for a in arrays:
         a.flags.writeable = False
 
@@ -418,22 +490,13 @@ def _run_arms(cfg: SimConfig, arms):
     ``gbp_sweeps`` for GBP and ``iteration_count`` otherwise, and leaves the
     record's ``iterations`` empty.
 
-    Each generated batch's posterior is factored once, and its link tables
-    built once, before the arm timers: LMMSE, FB and the link tables all read
-    the same factorisation. The lattice arms (ML, MAP, BP1) walk the batch in
-    ``batch.lattice_blocks``, and each block's residual table is built once,
-    outside the arm timers, and read by all of them, so no batch ever holds
-    one table for all its trials. No arm's ``elapsed_s`` carries shared work.
-
-    The arms of a batch are independent, so they run as tasks on two lanes
-    (``_run_tasks``): one task for the lattice arms and one per other arm,
-    in ``_TASK_ORDER``. LMMSE, a closed-form read of the posterior, runs on
-    this thread first. The second lane, a per-batch thread, takes tasks only
-    when the process may run on two CPUs and the batch has at least
-    ``_LANE_MIN_TRIALS`` trials. The shared inputs are read-only by then.
-    Decisions are kept per arm and counted in arm order once both lanes are
-    done, so the records do not depend on the lanes. An arm's ``elapsed_s``
-    is the CPU time of its own thread (``time.thread_time``) in its kernels.
+    Each batch's trials go to ``_batch_errors``, whole or split in two
+    halves by a ``_Helper``: this process runs the first half and a forked
+    helper the second, each generating and detecting its own trials. Every
+    kernel gives a trial the same bits in any partition, and the halves are
+    counted in trial order, so the records do not depend on the split. An
+    arm's ``elapsed_s`` is the CPU time of its kernels (``time.thread_time``
+    of the thread that ran them), summed over both processes.
     """
     constellation = get_constellation(cfg.constellation)
     lattice = [d for d in cfg.detectors if d in LATTICE_DETECTORS]
@@ -445,65 +508,78 @@ def _run_arms(cfg: SimConfig, arms):
     counts = [k if k is not None else
               cfg.gbp_sweeps if d.startswith("GBP") else cfg.iteration_count(d)
               for d, k in arms]
-    linked = any(d in LINKED_DETECTORS for d, _ in arms)
-    factored = any(d in POSTERIOR_DETECTORS for d, _ in arms)
-    on_lattice = [a for a, (d, _) in enumerate(arms) if d in LATTICE_DETECTORS]
-    closed_form = [a for a, (d, _) in enumerate(arms) if d == "LMMSE"]
-    two_cpus = _cpus() > 1
-    tasked = sorted((a for a, (d, _) in enumerate(arms)
-                     if d not in LATTICE_DETECTORS and d != "LMMSE"),
-                    key=lambda a: _TASK_ORDER.index(arms[a][0]))
     records = []
-    for snr_idx, snr in enumerate(cfg.snr_db):
-        sigma2 = noise_variance(snr)
-        errors = [[] for _ in arms]
-        totals = [0] * len(arms)
-        elapsed = [0.0] * len(arms)
-        hard_cap = (cfg.trials if cfg.target_errors is None
-                    else cfg.max_trials or 100 * cfg.trials)
-        done = 0
-        while done < hard_cap:
-            count = min(cfg.batch_size, hard_cap - done)
-            H, idx_true, y = generate_batch(cfg, constellation, sigma2, snr_idx, done, count)
-            posterior = batch.factor_posterior(H, y, sigma2) if factored else None
-            tables = batch.link_tables(H, y, sigma2, posterior=posterior) if linked else None
-            _read_only(H, y, *(posterior or ()), *(vars(tables).values() if tables else ()))
-            decided = [[] for _ in arms]  # each arm's decisions, block by block
-
-            def decide(a, part=slice(None), residuals=None):
-                t0 = time.thread_time()
-                decided[a].append(_detect_batch(arms[a][0], counts[a], H[part], y[part], sigma2,
-                                                constellation, posterior, tables, residuals,
-                                                cfg.permutation))
-                elapsed[a] += time.thread_time() - t0
-
-            def lattice():
-                for part in batch.lattice_blocks(H, constellation):
-                    residuals = batch.lattice_residuals(H[part], y[part], constellation)
-                    _read_only(residuals)
-                    for a in on_lattice:
-                        decide(a, part, residuals)
-
-            for a in closed_form:
-                decide(a)
-            _run_tasks(([lattice] if on_lattice else []) + [partial(decide, a) for a in tasked],
-                       share=two_cpus and count >= _LANE_MIN_TRIALS)
-            for a, parts in enumerate(decided):
-                errors[a].append(hamming[np.concatenate(parts), idx_true].sum(axis=1))
-                totals[a] += int(errors[a][-1].sum())
-            done += count
-            if _stopping_met(cfg, totals, done):
-                break
-        for (det, k), chunks, secs in zip(arms, errors, elapsed):
-            per_trial = np.concatenate(chunks)
-            used = _trials_used(cfg, per_trial)
-            n_err = int(per_trial[:used].sum())
-            n_bits = used * bits_per_trial
-            records.append(BerRecord(detector=det, snr_db=snr, trials=used,
-                                     bit_errors=n_err, ber=n_err / n_bits,
-                                     ci95=float(_ci95(n_err, n_bits)),
-                                     elapsed_s=secs, iterations=k))
+    with _Helper(partial(_batch_errors, cfg, arms, counts, constellation, hamming)) as helper:
+        for snr_idx, snr in enumerate(cfg.snr_db):
+            sigma2 = noise_variance(snr)
+            errors = [[] for _ in arms]
+            totals = [0] * len(arms)
+            elapsed = [0.0] * len(arms)
+            hard_cap = (cfg.trials if cfg.target_errors is None
+                        else cfg.max_trials or 100 * cfg.trials)
+            done = 0
+            while done < hard_cap:
+                count = min(cfg.batch_size, hard_cap - done)
+                for per_trial, secs in helper.run(snr_idx, sigma2, done, count):
+                    for a in range(len(arms)):
+                        errors[a].append(per_trial[a])
+                        totals[a] += int(per_trial[a].sum())
+                        elapsed[a] += secs[a]
+                done += count
+                if _stopping_met(cfg, totals, done):
+                    break
+            for (det, k), chunks, secs in zip(arms, errors, elapsed):
+                per_trial = np.concatenate(chunks)
+                used = _trials_used(cfg, per_trial)
+                n_err = int(per_trial[:used].sum())
+                n_bits = used * bits_per_trial
+                records.append(BerRecord(detector=det, snr_db=snr, trials=used,
+                                         bit_errors=n_err, ber=n_err / n_bits,
+                                         ci95=float(_ci95(n_err, n_bits)),
+                                         elapsed_s=secs, iterations=k))
     return records
+
+
+def _batch_errors(cfg, arms, counts, constellation, hamming, snr_idx, sigma2, first, n):
+    """Each arm's bit errors per trial on trials [first, first + n) of SNR
+    point ``snr_idx``, and each arm's CPU seconds in its kernels.
+
+    The posterior is factored once, and the link tables built once, before
+    the arm timers: LMMSE, FB and the link tables all read the same
+    factorisation. The lattice arms (ML, MAP, BP1) walk the trials in
+    ``batch.lattice_blocks``, and each block's residual table is built once,
+    outside the arm timers, and read by all of them, so no batch ever holds
+    one table for all its trials. No arm's time carries shared work. The
+    arms run one after another on these shared inputs, which are read-only.
+    """
+    H, idx_true, y = generate_batch(cfg, constellation, sigma2, snr_idx, first, n)
+    detectors = [d for d, _ in arms]
+    factored = any(d in POSTERIOR_DETECTORS for d in detectors)
+    posterior = batch.factor_posterior(H, y, sigma2) if factored else None
+    linked = any(d in LINKED_DETECTORS for d in detectors)
+    tables = batch.link_tables(H, y, sigma2, posterior=posterior) if linked else None
+    _read_only(H, y, *(posterior or ()), *(vars(tables).values() if tables else ()))
+    decided = [[] for _ in arms]  # each arm's decisions, block by block
+    elapsed = [0.0] * len(arms)
+
+    def decide(a, part=slice(None), residuals=None):
+        t0 = time.thread_time()
+        decided[a].append(_detect_batch(detectors[a], counts[a], H[part], y[part], sigma2,
+                                        constellation, posterior, tables, residuals,
+                                        cfg.permutation))
+        elapsed[a] += time.thread_time() - t0
+
+    on_lattice = [a for a, d in enumerate(detectors) if d in LATTICE_DETECTORS]
+    if on_lattice:
+        for part in batch.lattice_blocks(H, constellation):
+            residuals = batch.lattice_residuals(H[part], y[part], constellation)
+            _read_only(residuals)
+            for a in on_lattice:
+                decide(a, part, residuals)
+    for a, d in enumerate(detectors):
+        if d not in LATTICE_DETECTORS:
+            decide(a)
+    return [hamming[np.concatenate(parts), idx_true].sum(axis=1) for parts in decided], elapsed
 
 
 def _trials_used(cfg, per_trial):

@@ -865,8 +865,8 @@ def test_trial_blocks_move_no_bit(monkeypatch, m, n, name, trials):
 def test_kernels_run_on_read_only_inputs(m, trials):
     """Every kernel reads H, y, the posterior, the link tables and the
     residual tables without writing into them: sim._run_arms shares them,
-    read-only, between its two lanes. The lattice kernels run at 8x8 on a
-    lone trial only, whose residual table alone takes 4 MiB."""
+    read-only, between the arms of a batch. The lattice kernels run at 8x8
+    on a lone trial only, whose residual table alone takes 4 MiB."""
     c = qpsk()
     sigma2 = 0.1
     perm = tuple(reversed(range(m)))
@@ -894,3 +894,33 @@ def test_kernels_run_on_read_only_inputs(m, trials):
             batch.ml_hard_batch(H[part], y[part], sigma2, c, residuals=res)
             batch.map_marginals_batch(H[part], y[part], sigma2, c, residuals=res)
             batch.bp1_batch(H[part], y[part], sigma2, c, 3, residuals=res)
+
+
+@pytest.mark.parametrize("name", ["QPSK", "QAM16"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_every_kernel_takes_an_empty_batch(m, name):
+    """At zero trials every kernel returns an empty output with the trailing
+    shape it has at two trials; the lattice kernels once failed to reshape."""
+    c = get_constellation(name)
+    sigma2 = 0.1
+    cfg = SimConfig(m=m, n=m + 1, constellation=name, seed=59)
+
+    def outputs(trials):
+        H, _, y = generate_batch(cfg, c, sigma2, 0, 0, trials)
+        t = batch.link_tables(H, y, sigma2)
+        out = {"lattice_residuals": batch.lattice_residuals(H, y, c).transpose(2, 0, 1),
+               "ml_hard_batch": batch.ml_hard_batch(H, y, sigma2, c),
+               "map_marginals_batch": batch.map_marginals_batch(H, y, sigma2, c),
+               "bp1_batch": batch.bp1_batch(H, y, sigma2, c, 3),
+               "lmmse_batch": batch.lmmse_batch(H, y, sigma2)[0],
+               "bp2_batch": batch.bp2_batch(t, c, 3),
+               "bp3_batch": batch.bp3_batch(t, c, 3),
+               "gbp2g_batch": batch.gbp2g_batch(t, 20),
+               "gbp3g_batch": batch.gbp3g_batch(t, 20)}
+        if m >= 2:
+            out["fb_batch"] = batch.fb_batch(H, y, sigma2, c, 3)
+        return out
+
+    empty, two = outputs(0), outputs(2)
+    for kernel, out in empty.items():
+        assert out.shape == (0,) + two[kernel].shape[1:], kernel

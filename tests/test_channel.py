@@ -63,6 +63,22 @@ class TestConstellations:
             for a, b in zip(seq, seq[1:]):
                 assert sum(x != y for x, y in zip(a, b)) == 1
 
+    def test_nan_point_is_refused(self):
+        c = qpsk()
+        with pytest.raises(ValueError, match="points must be finite"):
+            Constellation("bad", np.r_[c.points[:3], np.nan], 2, c.bit_labels, c.prior)
+
+    def test_nan_prior_is_refused(self):
+        c = qpsk()
+        with pytest.raises(ValueError, match="prior must be finite"):
+            Constellation("bad", c.points, 2, c.bit_labels, [0.5, 0.5, np.nan, 0.0])
+
+    def test_negative_prior_is_refused(self):
+        """This prior sums to 1 and gives the QPSK points unit energy."""
+        c = qpsk()
+        with pytest.raises(ValueError, match="non-negative"):
+            Constellation("bad", c.points, 2, c.bit_labels, [0.75, 0.75, -0.5, 0.0])
+
     def test_get_constellation(self):
         assert get_constellation("qpsk").name == "QPSK"
         assert get_constellation("16QAM").name == "QAM16"

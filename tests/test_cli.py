@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
-import threading
 
 import pytest
 
 CLI = [sys.executable, "-m", "mimobp.cli"]
+needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                                reason="the split needs os.fork and CPU affinity")
 
 
 def run_cli(*args, timeout=None):
@@ -213,33 +214,57 @@ class TestExitCodes:
                       "GBP2G", "GBP3G"):
             assert stage in err, stage
 
+    @needs_fork
     def test_memory_error_in_a_worker_arm_exits_three(self, monkeypatch, capsys):
-        """The arm the worker thread takes runs out of memory: exit 3, and
-        no arm is still running when main returns."""
+        """The helper runs out of memory in its half of a batch: exit 3, and
+        no process is left when main returns."""
         from mimobp import cli, sim
 
         monkeypatch.setattr(sim, "_cpus", lambda: 2)
         monkeypatch.setattr(sim, "_LANE_MIN_TRIALS", 1)
-        detect = sim._detect_batch
-        failed = threading.Event()
-        running = []
+        generate, parent = sim.generate_batch, os.getpid()
 
-        def detect_or_fail(*args):
-            running.append(1)
-            try:
-                if threading.current_thread() is not threading.main_thread():
-                    failed.set()
-                    raise MemoryError("synthetic failure")
-                failed.wait(timeout=30)  # leave a task to the worker
-                return detect(*args)
-            finally:
-                running.pop()
+        def generate_or_fail(*args):
+            if os.getpid() != parent:
+                raise MemoryError("synthetic failure")
+            return generate(*args)
 
-        monkeypatch.setattr(sim, "_detect_batch", detect_or_fail)
+        monkeypatch.setattr(sim, "generate_batch", generate_or_fail)
         assert cli.main(["simulate", "--snr-db", "8", "--trials", "8",
                          "--detectors", "BP2,BP3,GBP2G"]) == 3
-        assert failed.is_set() and not running
-        assert "out of memory" in capsys.readouterr().err
+        assert "out of memory (synthetic failure)" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    def test_a_killed_helper_exits_three(self):
+        """A helper killed by SIGKILL, as by the out-of-memory killer, in its
+        second batch: exit 3 naming the signal, in bounded time, with no
+        traceback and no process left."""
+        script = (
+            "import os, signal, sys\n"
+            "from mimobp import cli, sim\n"
+            "sim._cpus, sim._LANE_MIN_TRIALS = (lambda: 2), 1\n"
+            "generate, parent, calls = sim.generate_batch, os.getpid(), []\n"
+            "def generate_or_die(*args):\n"
+            "    calls.append(1)\n"
+            "    if os.getpid() != parent and len(calls) == 2:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return generate(*args)\n"
+            "sim.generate_batch = generate_or_die\n"
+            "code = cli.main(['simulate', '--snr-db', '8', '--trials', '120', '--batch-size', '40',\n"
+            "                 '--detectors', 'BP2,GBP2G'])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    print('a child is left')\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "sys.exit(code)\n")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 3, res.stderr
+        assert "capacity error" in res.stderr and "SIGKILL" in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
 
     def test_lattice_run_fits_a_1_gb_address_space(self):
         """512 trials of 4x4 QAM16 ML in one batch once asked for a 1 GiB

@@ -20,10 +20,11 @@ def run_python(*args, timeout):
 
 
 def test_import_loads_no_scipy():
-    """numpy is the only runtime dependency, and the lanes need no
-    concurrent.futures: a batch's worker is a plain thread."""
+    """numpy is the only runtime dependency, and the split needs neither
+    concurrent.futures nor multiprocessing: its helper is a plain fork."""
     res = run_python("-c", "import sys, mimobp; print(sorted(m for m in sys.modules "
-                     "if m.split('.')[0] in ('scipy', 'concurrent')))", timeout=60)
+                     "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))",
+                     timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 

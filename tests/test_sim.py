@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -237,7 +238,9 @@ class TestRunSimulate:
     @pytest.mark.parametrize("target_errors,drawn", [(None, [200, 200]), (10 ** 6, [800, 800])])
     def test_max_trials_caps_only_target_error_runs(self, monkeypatch, target_errors, drawn):
         """Trials generated per SNR point: --trials at a fixed count, even
-        with max_trials set, and up to max_trials in target-error mode."""
+        with max_trials set, and up to max_trials in target-error mode. One
+        lane: a helper's generate_batch calls are not counted here."""
+        monkeypatch.setattr(sim, "_cpus", lambda: 1)
         asked = {}
         generate = sim.generate_batch
 
@@ -382,7 +385,9 @@ class TestMemory:
         (4 MiB). Before the blocks a 1024-trial call peaked at 37 MiB. The
         link tables and the posterior stay whole-batch, so the run's own peak
         still grows, from 3.6 MiB at 64 trials to 11.8 MiB at 1024 (3.3x;
-        44.9 MiB and 12.5x before)."""
+        44.9 MiB and 12.5x before). One lane, so that the 1024-trial batch
+        is not split and its calls are all made here."""
+        monkeypatch.setattr(sim, "_cpus", lambda: 1)
         peaks = []
         kernel = sim.batch.bp2_batch
 
@@ -399,7 +404,8 @@ class TestMemory:
 
 
 def _lanes(monkeypatch, count):
-    """Force ``count`` lanes: one, or two whatever the CPUs and batch size."""
+    """Force ``count`` lanes: one process, or a split of every batch of two
+    or more trials with a forked helper, whatever the CPUs and batch size."""
     monkeypatch.setattr(sim, "_cpus", lambda: count)
     monkeypatch.setattr(sim, "_LANE_MIN_TRIALS", 1)
 
@@ -408,18 +414,54 @@ def _sans_elapsed(records):
     return [dataclasses.replace(r, elapsed_s=0.0) for r in records]
 
 
+def _no_child_left():
+    """Whether this process has no child process, exited or running."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _act_in(monkeypatch, action, parent=True, helper=True, after=0):
+    """Make generate_batch call ``action()`` in this process (``parent``)
+    and in the helper (``helper``), each time after its first ``after``
+    batches."""
+    generate, parent_pid, seen = sim.generate_batch, os.getpid(), []
+
+    def generate_or_act(*args):
+        seen.append(1)
+        if len(seen) > after and (parent if os.getpid() == parent_pid else helper):
+            action()
+        return generate(*args)
+
+    monkeypatch.setattr(sim, "generate_batch", generate_or_act)
+
+
+def _raise(exc):
+    def action():
+        raise exc
+    return action
+
+
+needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                                reason="the split needs os.fork and CPU affinity")
+
+
 class TestLanes:
-    """The arms of a batch run as tasks on the main thread and one worker."""
+    """A batch of at least _LANE_MIN_TRIALS trials splits into two lanes:
+    this process runs the first half, a forked helper the second."""
 
     @pytest.mark.parametrize("batch_size,trials", [(1, 12), (37, 80), (512, 600)])
     @pytest.mark.parametrize("run,fields", [
         (run_simulate, dict(detectors=sim.DETECTORS)),
         (run_simulate, dict(m=8, n=8, snr_db=(20.0,),
                             detectors=("LMMSE", "BP2", "BP3", "FB", "GBP2G", "GBP3G"))),
-        # BP3 makes a second task next to the lattice arms
         (run_simulate, dict(m=3, n=3, constellation="QAM16", detectors=("ML", "MAP", "BP1", "BP3"))),
-        (run_iterstudy, dict(detectors=("BP2", "BP3"), iter_list=(2, 3)))],
-        ids=["4x4-all", "8x8-pairwise", "3x3-QAM16-lattice", "iterstudy"])
+        (run_iterstudy, dict(detectors=("BP2", "BP3"), iter_list=(2, 3))),
+        # each arm stops at its 150th error, mid-batch, or at the trial cap
+        (run_simulate, dict(detectors=("LMMSE", "ML", "BP2", "GBP3G"), target_errors=150))],
+        ids=["4x4-all", "8x8-pairwise", "3x3-QAM16-lattice", "iterstudy", "target-errors"])
     def test_records_do_not_depend_on_the_lanes(self, monkeypatch, run, fields, batch_size, trials):
         """Records, but for elapsed_s, of one lane equal those of two."""
         cfg = SimConfig(**{"snr_db": (4.0, 9.0), **fields}, trials=trials, batch_size=batch_size,
@@ -429,64 +471,93 @@ class TestLanes:
         _lanes(monkeypatch, 2)
         assert _sans_elapsed(run(cfg)) == one
 
-    def test_the_worker_takes_tasks_next_to_this_thread(self):
-        """Two tasks that each wait for the other finish only on two lanes."""
-        meet = threading.Barrier(2, timeout=30)
-        ran = []
+    @needs_fork
+    def test_one_helper_runs_the_second_half_of_every_split(self, monkeypatch, tmp_path):
+        """Each process logs the trials it generates. One helper, forked
+        once, serves every batch of both SNR points, and its first batch
+        overlaps this process's: each waits for the other to start one."""
+        generate = sim.generate_batch
 
-        def task():
-            ran.append(threading.get_ident())
-            meet.wait()
+        def logged(cfg, constellation, sigma2, snr_idx, start, count):
+            log = tmp_path / str(os.getpid())
+            if not log.exists():
+                log.touch()
+                for _ in range(3000):
+                    if len(list(tmp_path.iterdir())) == 2:
+                        break
+                    time.sleep(0.01)
+                else:
+                    raise AssertionError("the other lane did not start")
+            with open(log, "a") as fh:
+                fh.write(f"{snr_idx} {start} {count}\n")
+            return generate(cfg, constellation, sigma2, snr_idx, start, count)
 
-        sim._run_tasks([task, task], share=True)
-        assert len(set(ran)) == 2 and threading.get_ident() in ran
-        alone = threading.Barrier(2, timeout=0.2)
-        with pytest.raises(threading.BrokenBarrierError):
-            sim._run_tasks([alone.wait, alone.wait], share=False)
+        monkeypatch.setattr(sim, "generate_batch", logged)
+        _lanes(monkeypatch, 2)
+        run_simulate(SimConfig(snr_db=(8.0, 9.0), detectors=("LMMSE", "BP2"), trials=100,
+                               batch_size=40).validate())
+        logs = {int(p.name): [tuple(map(int, line.split())) for line in p.read_text().splitlines()]
+                for p in tmp_path.iterdir()}
+        mine = [(snr, start, n) for snr in (0, 1) for start, n in ((0, 20), (40, 20), (80, 10))]
+        assert logs.pop(os.getpid()) == mine
+        assert list(logs.values()) == [[(snr, start + n, n) for snr, start, n in mine]]
+        assert _no_child_left()
 
-    def test_the_first_failed_task_in_order_is_raised_once_both_lanes_are_idle(self):
-        meet = threading.Barrier(2, timeout=30)
-        running = []
+    @needs_fork
+    @pytest.mark.parametrize("exc", [KeyError("lost key"), ConfigError("bad field"),
+                                     MemoryError("no room")], ids=lambda e: type(e).__name__)
+    def test_an_exception_in_the_helper_comes_back_with_its_type(self, monkeypatch, exc):
+        _lanes(monkeypatch, 2)
+        _act_in(monkeypatch, _raise(exc), parent=False, after=1)
+        with pytest.raises(type(exc), match=str(exc).strip("'")):
+            run_simulate(SimConfig(snr_db=(8.0,), detectors=("BP2", "GBP2G"), trials=120,
+                                   batch_size=40).validate())
+        assert _no_child_left()
 
-        def failing(exc):
-            def task():
-                running.append(1)
-                try:
-                    meet.wait()
-                    raise exc
-                finally:
-                    running.pop()
-            return task
+    @needs_fork
+    @pytest.mark.parametrize("exc", [None, ValueError("parent half"), KeyboardInterrupt()],
+                             ids=["normal", "raises", "interrupted"])
+    def test_no_process_outlives_the_call(self, monkeypatch, exc):
+        """The helper is reaped on every way out of run_simulate, also
+        while it is still running a half."""
+        _lanes(monkeypatch, 2)
+        if exc is not None:
+            _act_in(monkeypatch, _raise(exc), helper=False, after=1)
+        cfg = SimConfig(snr_db=(8.0,), detectors=("BP2", "GBP2G"), trials=120,
+                        batch_size=40).validate()
+        if exc is None:
+            run_simulate(cfg)
+        else:
+            with pytest.raises(type(exc)):
+                run_simulate(cfg)
+        assert _no_child_left()
 
-        later = []
-        with pytest.raises(KeyError):
-            sim._run_tasks([failing(KeyError("first")), failing(ValueError("second")),
-                            lambda: later.append(1)], share=True)
-        assert not running and not later
+    @needs_fork
+    def test_nothing_forks_while_another_thread_is_alive(self, monkeypatch):
+        """Two threads that call run_simulate at once fork nothing and get
+        the one-lane records."""
+        cfg = SimConfig(snr_db=(8.0,), detectors=("BP2", "BP3", "GBP2G"), trials=80,
+                        batch_size=40, seed=48).validate()
+        _lanes(monkeypatch, 1)
+        expected = _sans_elapsed(run_simulate(cfg))
+        _lanes(monkeypatch, 2)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        got = [None, None]
 
-    def test_concurrent_callers_run_every_task_once(self, monkeypatch):
-        """Four threads share the one worker; a short switch interval makes
-        the lanes interleave often. A task lost or run twice would show."""
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            ran = [[] for _ in range(4)]
+        def call(k):
+            got[k] = _sans_elapsed(run_simulate(cfg))
 
-            def call(k):
-                sim._run_tasks([lambda i=i: ran[k].append(i) for i in range(200)], share=True)
-
-            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(sorted(r) == list(range(200)) for r in ran)
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert got == [expected, expected] and not forks
 
     def test_shared_inputs_are_read_only(self, monkeypatch):
-        """A kernel that writes into the link tables both lanes read raises."""
+        """A kernel that writes into the link tables later arms read raises."""
         def scribble(tables, sweeps):
             tables.a_diag[0, 0, 0] = 0.0
 
@@ -495,7 +566,7 @@ class TestLanes:
             run_simulate(SimConfig(snr_db=(8.0,), detectors=("GBP2G",), trials=4).validate())
 
     def test_a_forked_child_runs_after_its_parent(self, monkeypatch):
-        """A child forked after its parent ran batches on two lanes runs them too."""
+        """A child forked after its parent ran split batches splits them too."""
         _lanes(monkeypatch, 2)
         cfg = SimConfig(snr_db=(8.0,), detectors=("BP2", "BP3", "GBP2G"), trials=40,
                         batch_size=20, seed=49).validate()
@@ -515,29 +586,31 @@ class TestLanes:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs CPU affinity and two CPUs")
     def test_no_worker_on_one_cpu(self):
-        """A fresh process pinned to one CPU starts no thread; unpinned, it
-        starts a worker for the same batches. No thread outlives the run."""
+        """A fresh process pinned to one CPU forks nothing; unpinned, it
+        forks one helper for the same batches. No process outlives the run."""
         script = (
-            "import os, sys, threading\n"
+            "import os, sys\n"
             "from mimobp import sim\n"
             "if sys.argv[1] == 'pin':\n"
             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "starts, start = [], threading.Thread.start\n"
-            "def counted(self):\n"
-            "    starts.append(self.name)\n"
-            "    start(self)\n"
-            "threading.Thread.start = counted\n"
-            "sim.run_simulate(sim.SimConfig(m=2, n=2, snr_db=(10.0,), detectors=('BP2', 'BP3', 'GBP2G'),\n"
-            "                               trials=512, batch_size=512).validate())\n"
-            "print(len(starts), threading.active_count())\n")
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "sim.run_simulate(sim.SimConfig(m=2, n=2, snr_db=(10.0, 12.0),\n"
+            "                               detectors=('BP2', 'BP3', 'GBP2G'),\n"
+            "                               trials=1024, batch_size=512).validate())\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    left = 1\n"
+            "except ChildProcessError:\n"
+            "    left = 0\n"
+            "print(len(forks), left)\n")
         runs = {}
         for mode in ("pin", "free"):
             res = subprocess.run([sys.executable, "-c", script, mode], capture_output=True,
                                  text=True, timeout=120)
             assert res.returncode == 0, res.stderr
             runs[mode] = tuple(int(v) for v in res.stdout.split())
-        assert runs["pin"] == (0, 1)
-        assert runs["free"][0] >= 1 and runs["free"][1] == 1, runs
+        assert runs == {"pin": (0, 0), "free": (1, 0)}
 
 
 class TestIterstudy:
