@@ -19,7 +19,7 @@ numpy calls, so this module makes no LAPACK call, per trial or otherwise.
 ``LinkTables`` holds the three filter outputs of every ordered pair, y',
 a_jj and a_ji. The Gaussian kernels compute the coefficients of their
 recursions (u, v, u_var, v_var) from the entries they read, and the
-tables' properties of those names compute them for the whole table.
+tables' properties u and v compute the mean recursion's for the whole table.
 Likewise ML, MAP and BP1 read one table of lattice residuals,
 ``lattice_residuals``, through their ``residuals`` keyword. That table is
 built from two half-lattice tables with elementwise ops only, never a BLAS
@@ -285,9 +285,9 @@ def _recursion_coefficients(y_prime, a_diag, a_cross):
 class LinkTables:
     """Ordered-pair filter outputs for a batch; index [b, target j, known i].
 
-    Only the three filter outputs are stored. The Gaussian recursion's
-    coefficients u, v, u_var and v_var are computed from them on each read,
-    and the Gaussian kernels compute them from the entries they use."""
+    Only the three filter outputs are stored. The mean recursion's offset
+    u and slope v are computed from them on each read, and the Gaussian
+    kernels compute all four coefficients from the entries they use."""
 
     y_prime: np.ndarray  # (B, M, M) complex
     a_diag: np.ndarray  # (B, M, M) real, equals sigma2_cond
@@ -295,8 +295,6 @@ class LinkTables:
 
     u = property(lambda self: self._coefficients()[0])
     v = property(lambda self: self._coefficients()[1])
-    u_var = property(lambda self: self._coefficients()[2])
-    v_var = property(lambda self: self._coefficients()[3])
 
     def _coefficients(self):
         return _recursion_coefficients(self.y_prime, self.a_diag, self.a_cross)

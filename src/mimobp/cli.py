@@ -2,7 +2,8 @@
 
 Subcommands: simulate (BER sweep), converge (Gaussian-BP traces), detect
 (single-instance report), iterstudy (BER versus iteration count). Exit codes:
-0 success, 2 configuration error, 3 capacity error, 4 numerical error.
+0 success, 2 configuration error, 3 capacity error, 4 numerical error, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -104,6 +105,9 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:  # the helper, if any, is killed and reaped by now
+        print("interrupted by SIGINT (Ctrl-C)", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -17,6 +17,7 @@ the same draws, and ``target_errors``/``max_trials`` apply to every arm.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import os
@@ -382,6 +383,7 @@ class _Helper:
             return False
         jobs, self._jobs = os.pipe()
         results, sent = os.pipe()
+        caller = os.getpid()
         with warnings.catch_warnings():
             # Python 3.12 warns at a fork of any process with two or more OS
             # threads. No Python thread but this one runs (checked above), and
@@ -391,6 +393,16 @@ class _Helper:
                                     DeprecationWarning)
             pid = os.fork()
         if pid == 0:
+            try:
+                # PR_SET_PDEATHSIG (1): the kernel kills this helper when its
+                # caller dies, also by a signal that runs no Python code
+                prctl = ctypes.CDLL(None, use_errno=True).prctl
+                prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+                prctl(1, signal.SIGKILL)
+            except (OSError, AttributeError):  # no prctl: the helper ends at its next write
+                pass
+            if os.getppid() != caller:  # the caller died before the call
+                os._exit(1)
             os.close(self._jobs)
             os.close(results)
             _serve(self._work, jobs, sent)
@@ -431,7 +443,8 @@ def _serve(work, jobs, results):
     ``results``, until the jobs end. It never returns: it leaves through
     ``os._exit``, so no atexit handler runs and no stdio buffer copied from
     the parent is flushed a second time. Ctrl-C reaches the parent, which
-    kills it, so it ignores SIGINT."""
+    kills it, so it ignores SIGINT; a parent ended by any other signal takes
+    it along (see ``_Helper._start``)."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)

@@ -2,6 +2,7 @@
 
 from collections import deque
 from dataclasses import fields
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
@@ -326,13 +327,19 @@ def test_pairwise_batches_match_reference_across_snr(case):
             assert np.max(np.abs(beliefs[b] - refs[kernel].beliefs)) < 1e-12, kernel
 
 
+def _var_coefficients(links):
+    """The variance recursion's offset 1 / (1 + a_jj) and slope |v|^2, whole tables."""
+    return 1.0 / (1.0 + links.a_diag), np.abs(links.v) ** 2
+
+
 def _graph_from_tables(t, b, channel, topology, order):
     """Oracle graph whose links are the batch's own table entries for trial b."""
     m = channel.n_tx
+    u_var, v_var = _var_coefficients(t)
     links = {(j, i): PairwiseLink(j=j, i=i, c=None, y_prime=t.y_prime[b, j, i],
                                   a_jj=t.a_diag[b, j, i], a_ji=t.a_cross[b, j, i],
                                   sigma2_cond=t.a_diag[b, j, i], u=t.u[b, j, i], v=t.v[b, j, i],
-                                  u_var=t.u_var[b, j, i], v_var=t.v_var[b, j, i])
+                                  u_var=u_var[b, j, i], v_var=v_var[b, j, i])
              for j in range(m) for i in range(m) if i != j}
     return PairwiseGraph(topology=topology, channel=channel, links=links, order=order)
 
@@ -374,27 +381,6 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def test_gaussian_batches_independent_of_partitioning():
-    # 5x6 QAM16 in halves of 37; 8x8 QPSK in 256 + 255 + 1 trials of a
-    # 512-trial batch, whose GBP2G trials freeze and retire at different
-    # sweeps; 4x4 QPSK in 7 + 293 + 212, where a group's one-eighth gate
-    # lets trials freeze at other sweeps in each part than in the whole
-    for m, n, name, snr, trials, cuts, order in (
-            (5, 6, "QAM16", 25.0, 74, (37,), (3, 0, 4, 1, 2)),
-            (8, 8, "QPSK", 20.0, 512, (256, 511), (6, 7, 0, 1, 2, 3, 4, 5)),
-            (4, 4, "QPSK", 10.0, 512, (7, 300), (2, 0, 3, 1))):
-        c = get_constellation(name)
-        sigma2 = 10.0 ** (-snr / 10.0)
-        cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=3)
-        H, _, y = generate_batch(cfg, c, sigma2, 0, 0, trials)
-        t = batch.link_tables(H, y, sigma2)
-        parts = [t.trials(part) for part in map(slice, (0,) + cuts, cuts + (trials,))]
-        kernels = (lambda tables: batch.gbp2g_batch(tables, 200),
-                   lambda tables: batch.gbp3g_batch(tables, 200, order=order))
-        for kernel in kernels:
-            assert np.array_equal(_bits(kernel(t)), _bits(np.concatenate([kernel(p) for p in parts])))
-
-
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_lone_trial_sum_adds_rows_in_order(dtype):
     """With one trial on the trailing axis, batch._sum adds the slices along
@@ -427,7 +413,7 @@ def _stacked_gbp3g(links, sweeps, order=None):
     tgt = np.array(ring_order(m, order))
     rows = np.stack([tgt, tgt[::-1]])
     cols = np.roll(rows, 1, axis=1)
-    u, v, u_var, v_var = (a[:, rows, cols] for a in (links.u, links.v, links.u_var, links.v_var))
+    u, v, u_var, v_var = (a[:, rows, cols] for a in (links.u, links.v, *_var_coefficients(links)))
     off, slope = (np.ascontiguousarray(np.concatenate(pair, axis=1).transpose(1, 2, 0))
                   for pair in ((u, u_var), (v, v_var)))
 
@@ -486,7 +472,7 @@ def _plain_gbp2g_states(links, sweeps):
     bits gbp2g_batch must keep."""
     m = links.a_diag.shape[1]
     u, v, uv, vv = (np.ascontiguousarray(a.transpose(2, 1, 0))
-                    for a in (links.u, links.v, links.u_var, links.v_var))
+                    for a in (links.u, links.v, *_var_coefficients(links)))
     self_edge = (np.arange(m), np.arange(m))
     uv[self_edge] = np.inf
     w = np.zeros(u.shape, dtype=complex)
@@ -584,25 +570,6 @@ def test_gbp2g_shortcuts_keep_every_bit(m, name):
     assert all(counts.values()), counts
 
 
-def test_discrete_pairwise_batches_independent_of_partitioning():
-    c = get_constellation("QAM16")
-    sigma2 = 10.0 ** (-14.0 / 10.0)
-    cfg = SimConfig(m=5, n=6, constellation="QAM16", snr_db=(14.0,), seed=4)
-    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 2 * 37)
-    perm = (3, 0, 4, 1, 2)
-
-    def kernels(part):
-        t = batch.link_tables(H[part], y[part], sigma2)
-        return (batch.bp2_batch(t, c, 3), batch.bp3_batch(t, c, 3, order=perm),
-                batch.fb_batch(H[part], y[part], sigma2, c, 3, order=perm))
-
-    whole = kernels(slice(None))
-    # halves of 37, the second ending in a lone trial
-    parts = [kernels(part) for part in (slice(None, 37), slice(37, 73), slice(73, None))]
-    for k, beliefs in enumerate(whole):
-        assert np.array_equal(beliefs, np.concatenate([p[k] for p in parts]))
-
-
 @pytest.mark.parametrize("m,n,name", [(4, 4, "QPSK"), (8, 8, "QPSK"), (4, 6, "QAM16"),
                                       (1, 1, "QPSK")])
 def test_shared_posterior_gives_the_same_bits(m, n, name):
@@ -646,82 +613,127 @@ def test_lattice_capacity_checked_before_enumeration(monkeypatch):
             kernel(H, y, 1.0, c)
 
 
-def _kernel_outputs(H, y, sigma2, c, perm):
-    """Every batch kernel's output on one batch, each as a tuple of (B, ...) arrays."""
+@st.composite
+def partitions(draw):
+    """A batch and a contiguous partition of it, empty and lone parts
+    included; the last field forces trial blocks of two trials on the parts."""
+    m, trials = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    return (m, draw(st.integers(m, 8)), draw(st.sampled_from(("QPSK", "QAM16"))),
+            draw(st.floats(-10.0, 40.0)), draw(st.integers(0, 2 ** 32 - 1)),
+            tuple(draw(st.permutations(range(m)))), trials,
+            tuple(sorted(draw(st.lists(st.integers(0, trials), max_size=6)))), draw(st.booleans()))
+
+
+def _stages(cfg, c, sigma2, order, start, count):
+    """Every stage's outputs on trials [start, start + count), trials first."""
+    H, idx, y = generate_batch(cfg, c, sigma2, 0, start, count)
     t = batch.link_tables(H, y, sigma2)
-    out = {"links": tuple(getattr(t, f.name) for f in fields(LinkTables)),
-           "LMMSE": batch.lmmse_batch(H, y, sigma2),
-           "BP2": (batch.bp2_batch(t, c, 3),),
-           "BP3": (batch.bp3_batch(t, c, 3, order=perm),),
-           "FB": (batch.fb_batch(H, y, sigma2, c, 3, order=perm),),
-           "GBP2G": (batch.gbp2g_batch(t, 40),),
-           "GBP3G": (batch.gbp3g_batch(t, 40, order=perm),)}
-    # the lattice kernels only up to 2^12 lattice points: at 4x6 QAM16 one
-    # 64-trial call would hold a 0.4 GB residual table
-    if H.shape[2] * c.bits_per_symbol <= 12:
-        out.update({"ML": (batch.ml_hard_batch(H, y, sigma2, c),),
-                    "MAP": (batch.map_marginals_batch(H, y, sigma2, c),),
-                    "BP1": (batch.bp1_batch(H, y, sigma2, c, 3),)})
+    out = {"generate_batch": (H, idx, y), "factor_posterior": batch.factor_posterior(H, y, sigma2),
+           "link_tables": tuple(getattr(t, f.name) for f in fields(LinkTables)),
+           "LMMSE": batch.lmmse_batch(H, y, sigma2), "BP2": (batch.bp2_batch(t, c, 3),),
+           "BP3": (batch.bp3_batch(t, c, 3, order=order),), "GBP2G": (batch.gbp2g_batch(t, 200),),
+           "GBP3G": (batch.gbp3g_batch(t, 200, order=order),)}
+    if cfg.m >= 2:
+        out["FB"] = (batch.fb_batch(H, y, sigma2, c, 3, order=order),)
+    # the lattice up to 2^12 points: at 4x6 QAM16 (2^16) a residual table takes 3 MiB per trial
+    if cfg.m * c.bits_per_symbol <= 12:
+        out.update(lattice_residuals=(np.moveaxis(batch.lattice_residuals(H, y, c), -1, 0),),
+                   ML=(batch.ml_hard_batch(H, y, sigma2, c),),
+                   MAP=(batch.map_marginals_batch(H, y, sigma2, c),),
+                   BP1=(batch.bp1_batch(H, y, sigma2, c, 3),))
     return out
 
 
-def _lone_case(m, n, name, snr, trials=64, alone=64):
-    return pytest.param(m, n, name, snr, trials, alone,
-                        id="-".join(map(str, (m, n, name, snr) + ((trials,) if trials != 64 else ()))))
+def _assert_parts_match(m, n, name, snr, seed, order, trials, cuts, forced=False):
+    """generate_batch, the posterior, the link tables, the lattice residuals
+    and all nine kernels give a batch, and its parts joined in order, the
+    same bits; ``forced`` runs the parts in trial blocks of two trials."""
+    c = get_constellation(name)
+    sigma2 = 10.0 ** (-snr / 10.0)
+    cfg = SimConfig(m=m, n=n, constellation=name, seed=seed)
+    whole = _stages(cfg, c, sigma2, order, 0, trials)
+    with patch.object(batch, "_BLOCK_BYTES", 1 if forced else batch._BLOCK_BYTES), \
+            patch.object(batch, "_MIN_BLOCK", 2 if forced else batch._MIN_BLOCK):
+        parts = [_stages(cfg, c, sigma2, order, a, b - a)
+                 for a, b in zip((0,) + cuts, cuts + (trials,))]
+    for stage, arrays in whole.items():
+        for k, a in enumerate(arrays):
+            joined = np.concatenate([p[stage][k] for p in parts])
+            assert np.array_equal(_bits(a), _bits(joined)), (stage, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(partitions())
+def test_every_stage_gives_the_parts_the_bits_of_the_whole(case):
+    """--batch-size, the split and the trial blocks move no bit. The regimes
+    random draws seldom reach are pinned by the tests that follow."""
+    _assert_parts_match(*case)
+
+
+def test_gaussian_batches_independent_of_partitioning():
+    # 5x6 QAM16 in halves of 37; 8x8 QPSK in 256 + 255 + 1 trials of a
+    # 512-trial batch, whose GBP2G trials freeze and retire at different
+    # sweeps; 4x4 QPSK in 7 + 293 + 212, where a group's one-eighth gate
+    # lets trials freeze at other sweeps in each part than in the whole
+    _assert_parts_match(5, 6, "QAM16", 25.0, 3, (3, 0, 4, 1, 2), 74, (37,))
+    _assert_parts_match(8, 8, "QPSK", 20.0, 3, (6, 7, 0, 1, 2, 3, 4, 5), 512, (256, 511))
+    _assert_parts_match(4, 4, "QPSK", 10.0, 3, (2, 0, 3, 1), 512, (7, 300))
+
+
+def test_discrete_pairwise_batches_independent_of_partitioning():
+    # halves of 37, the second ending in a lone trial, on a permuted ring
+    _assert_parts_match(5, 6, "QAM16", 14.0, 4, (3, 0, 4, 1, 2), 74, (37, 73), forced=True)
 
 
 @pytest.mark.parametrize("m,n,name,snr,trials,alone", [
-    _lone_case(4, 4, "QPSK", 6.0), _lone_case(4, 8, "QPSK", 3.0), _lone_case(3, 4, "QAM16", 14.0),
-    _lone_case(4, 6, "QAM16", 14.0),
+    (4, 4, "QPSK", 6.0, 64, 64), (4, 8, "QPSK", 3.0, 64, 64), (3, 4, "QAM16", 14.0, 64, 64),
+    (4, 6, "QAM16", 14.0, 64, 64),
     # (M, M, B) complex temporaries of 512 trials pass 256 KiB, where numpy
     # starts to reuse a temporary operand as the output of a product
-    _lone_case(8, 8, "QPSK", 20.0, trials=512, alone=16)])
+    (8, 8, "QPSK", 20.0, 512, 16)],
+    ids=["4-4-QPSK-6.0", "4-8-QPSK-3.0", "3-4-QAM16-14.0", "4-6-QAM16-14.0", "8-8-QPSK-20.0-512"])
 def test_lone_trial_matches_its_row_of_the_batch(m, n, name, snr, trials, alone):
     """A trial alone in its batch (--batch-size 1, or a final one-trial batch)
-    gets the bits it gets inside a larger batch, from every kernel; the
-    first ``alone`` trials of a ``trials``-trial batch are checked."""
-    c = get_constellation(name)
-    sigma2 = 10.0 ** (-snr / 10.0)
-    perm = tuple(reversed(range(m)))
-    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(snr,), seed=17)
-    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, trials)
-    whole = _kernel_outputs(H, y, sigma2, c, perm)
-    differ = dict.fromkeys(whole, 0)
-    for b in range(alone):
-        lone = _kernel_outputs(H[b:b + 1], y[b:b + 1], sigma2, c, perm)
-        for kernel, arrays in whole.items():
-            differ[kernel] += not all(np.array_equal(a[b:b + 1], one)
-                                      for a, one in zip(arrays, lone[kernel]))
-    assert not any(differ.values()), str(differ)
+    gets the bits it gets inside a larger batch; the first ``alone`` trials
+    of a ``trials``-trial batch are checked."""
+    _assert_parts_match(m, n, name, snr, 17, tuple(reversed(range(m))), trials,
+                        tuple(range(1, alone + 1)))
 
 
 def test_lone_trial_matches_its_row_of_a_cli_sized_gbp3g_batch():
-    """GBP3G at the CLI's default batch of 4096 trials, 4x5 QPSK."""
-    c = qpsk()
-    sigma2 = 10.0 ** (-8.0 / 10.0)
-    perm = (2, 0, 3, 1)
-    cfg = SimConfig(m=4, n=5, snr_db=(8.0,), seed=17)
-    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 4096)
-    whole = batch.gbp3g_batch(batch.link_tables(H, y, sigma2), 40, order=perm)
-    differ = [b for b in range(64) if not np.array_equal(whole[b:b + 1], batch.gbp3g_batch(
-        batch.link_tables(H[b:b + 1], y[b:b + 1], sigma2), 40, order=perm))]
-    assert not differ, differ
+    """The CLI's default batch of 4096 trials, 4x5 QPSK, against its first 64 trials alone."""
+    _assert_parts_match(4, 5, "QPSK", 8.0, 17, (2, 0, 3, 1), 4096, tuple(range(1, 65)))
 
 
 @pytest.mark.parametrize("m,n,name", [(4, 6, "QAM16"), (8, 8, "QPSK")])
 def test_posterior_is_partition_exact_at_the_cli_default(m, n, name):
-    """factor_posterior on the CLI's default batch of 4096 trials, whose
-    temporaries pass 256 KiB, against lone trials and a 37-trial slice."""
-    c = get_constellation(name)
-    sigma2 = 10.0 ** (-12.0 / 10.0)
-    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(12.0,), seed=23)
-    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 4096)
-    whole = batch.factor_posterior(H, y, sigma2)
-    parts = [slice(b, b + 1) for b in (0, 1, 2047, 4095)] + [slice(1000, 1037)]
-    differ = [(part.start, part.stop) for part in parts
-              if not all(np.array_equal(a[part], one) for a, one in
-                         zip(whole, batch.factor_posterior(H[part], y[part], sigma2)))]
-    assert not differ, differ
+    """The CLI's default batch of 4096 trials, whose temporaries pass 256
+    KiB, against lone trials 0, 1, 2047 and 4095 and the slice 1000:1037."""
+    _assert_parts_match(m, n, name, 12.0, 23, tuple(reversed(range(m))), 4096,
+                        (1, 2, 1000, 1037, 2047, 2048, 4095))
+
+
+@pytest.mark.parametrize("m,n,name", [(2, 9, "QPSK"), (3, 9, "QPSK"), (2, 2, "QPSK"),
+                                      (5, 5, "QPSK"), (6, 6, "QPSK"), (3, 3, "QAM16")])
+def test_lone_trial_matches_its_row_of_a_lattice_batch(m, n, name):
+    """Lone trials against their rows of 64 (seed 3, 6 dB), at shapes where a
+    BLAS product over the whole batch once rounded the lattice residuals
+    differently with its width."""
+    _assert_parts_match(m, n, name, 6.0, 3, tuple(reversed(range(m))), 64, tuple(range(1, 64)))
+
+
+@pytest.mark.parametrize("m,n,name,trials", [(4, 4, "QPSK", 9), (5, 5, "QPSK", 7),
+                                             (3, 3, "QAM16", 9), (8, 8, "QPSK", 9)])
+def test_trial_blocks_move_no_bit(m, n, name, trials):
+    """Every stage keeps the bits of one block when BP2, ML, MAP and BP1
+    (both graphs) run in blocks of two trials, the first a lone trial."""
+    widths, blocks = [], batch.trial_blocks
+    with patch.object(batch, "trial_blocks", lambda *args: widths.append(
+            [b.stop - b.start for b in blocks(*args)]) or blocks(*args)):
+        _assert_parts_match(m, n, name, 8.0, 37, tuple(reversed(range(m))), trials, (),
+                            forced=True)
+    blocked = 1 if m * get_constellation(name).bits_per_symbol > 12 else 4
+    assert widths == [[trials]] * blocked + [[1] + [2] * (trials // 2)] * blocked
 
 
 @pytest.mark.parametrize("snr", [-100.0, 0.0, 100.0])
@@ -746,33 +758,6 @@ def test_posterior_of_degenerate_channels(m, n, name, snr):
     for b in range(len(H)):
         for a, one in zip(posterior, batch.factor_posterior(H[b:b + 1], y[b:b + 1], sigma2)):
             assert np.array_equal(a[b:b + 1], one), b
-
-
-@pytest.mark.parametrize("m,n,name", [(2, 9, "QPSK"), (3, 9, "QPSK"), (2, 2, "QPSK"),
-                                      (5, 5, "QPSK"), (6, 6, "QPSK"), (3, 3, "QAM16")])
-def test_lone_trial_matches_its_row_of_a_lattice_batch(m, n, name):
-    """ML, MAP and BP1 (both graphs) on a lone trial against its row of 64
-    trials (seed 3, 6 dB), at shapes where a BLAS product over the whole
-    batch once rounded the lattice residuals differently with its width."""
-    c = get_constellation(name)
-    sigma2 = 10.0 ** (-6.0 / 10.0)
-    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(6.0,), seed=3)
-    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, 64)
-
-    def kernels(part):
-        return {"residuals": batch.lattice_residuals(H[part], y[part], c),
-                "ML": batch.ml_hard_batch(H[part], y[part], sigma2, c),
-                "MAP": batch.map_marginals_batch(H[part], y[part], sigma2, c),
-                "BP1": batch.bp1_batch(H[part], y[part], sigma2, c, 3)}
-
-    whole = kernels(slice(None))
-    differ = dict.fromkeys(whole, 0)
-    for b in range(64):
-        for kernel, lone in kernels(slice(b, b + 1)).items():
-            differ[kernel] += not np.array_equal(whole[kernel][..., b:b + 1]
-                                                 if kernel == "residuals" else
-                                                 whole[kernel][b:b + 1], lone)
-    assert not any(differ.values()), str(differ)
 
 
 @pytest.mark.parametrize("m,n,name", [(1, 1, "QPSK"), (2, 3, "QPSK"), (4, 4, "QPSK"),
@@ -816,48 +801,6 @@ def test_trial_blocks_cover_the_batch_in_nearly_equal_widths(monkeypatch):
         blocks = batch.trial_blocks(B, bytes_per_trial)
         assert [b.stop - b.start for b in blocks] == widths
         assert np.array_equal(np.arange(B)[np.r_[tuple(blocks)]], np.arange(B))
-
-
-def _forced_blocks(monkeypatch, widths):
-    """Blocks of two trials at most, whatever the budget; the widths of every
-    ``trial_blocks`` call go to ``widths``."""
-    monkeypatch.setattr(batch, "_BLOCK_BYTES", 1)
-    monkeypatch.setattr(batch, "_MIN_BLOCK", 2)
-    blocks = batch.trial_blocks
-    monkeypatch.setattr(batch, "trial_blocks", lambda *args: widths.append(
-        [b.stop - b.start for b in blocks(*args)]) or blocks(*args))
-
-
-@pytest.mark.parametrize("m,n,name,trials", [(4, 4, "QPSK", 9), (5, 5, "QPSK", 7),
-                                             (3, 3, "QAM16", 9), (8, 8, "QPSK", 9)])
-def test_trial_blocks_move_no_bit(monkeypatch, m, n, name, trials):
-    """ML, MAP, BP1 (both graphs), the residual tables and BP2 in blocks of
-    two trials, the first of them a lone trial, give the bits of one block."""
-    c = get_constellation(name)
-    sigma2 = 10.0 ** (-8.0 / 10.0)
-    cfg = SimConfig(m=m, n=n, constellation=name, snr_db=(8.0,), seed=37)
-    H, _, y = generate_batch(cfg, c, sigma2, 0, 0, trials)
-    t = batch.link_tables(H, y, sigma2)
-
-    def kernels():
-        out = {"BP2": batch.bp2_batch(t, c, 3)}
-        if m < 8:
-            out.update({
-                "residuals": np.concatenate([batch.lattice_residuals(H[part], y[part], c)
-                                             for part in batch.lattice_blocks(H, c)], axis=-1),
-                "ML": batch.ml_hard_batch(H, y, sigma2, c),
-                "MAP": batch.map_marginals_batch(H, y, sigma2, c),
-                "BP1": batch.bp1_batch(H, y, sigma2, c, 3)})
-        return out
-
-    whole = kernels()
-    widths = []
-    _forced_blocks(monkeypatch, widths)
-    blocked = kernels()
-    expected = [1] + [2] * (trials // 2)
-    assert widths == [expected] * len(blocked)
-    for kernel, a in whole.items():
-        assert np.array_equal(_bits(a), _bits(blocked[kernel])), kernel
 
 
 @pytest.mark.parametrize("trials", [1, 37])

@@ -2,8 +2,10 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -265,6 +267,87 @@ class TestExitCodes:
         assert res.returncode == 3, res.stderr
         assert "capacity error" in res.stderr and "SIGKILL" in res.stderr
         assert "Traceback" not in res.stderr and res.stdout == ""
+
+    @needs_fork
+    def test_ctrl_c_exits_130(self):
+        """SIGINT to the process group, as Ctrl-C sends it, once the first
+        batch of a long split run is done: exit 130 with one line on stderr,
+        no traceback and no process left."""
+        script = (
+            "import os, sys\n"
+            "from mimobp import cli, sim\n"
+            "sim._cpus = lambda: 2\n"
+            "generate, parent, calls = sim.generate_batch, os.getpid(), []\n"
+            "def generate_and_tell(*args):\n"
+            "    calls.append(1)\n"
+            "    if os.getpid() == parent and len(calls) == 2:\n"
+            "        print('second batch', flush=True)\n"
+            "    return generate(*args)\n"
+            "sim.generate_batch = generate_and_tell\n"
+            "code = cli.main(['simulate', '--snr-db', '8', '--trials', '1000000',\n"
+            "                 '--batch-size', '512', '--detectors', 'BP2,GBP2G'])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    print('a child is left')\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "sys.exit(code)\n")
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+            try:
+                assert proc.stdout.readline() == "second batch\n"
+                os.killpg(proc.pid, signal.SIGINT)
+                out, err = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 130, err
+        assert err == "interrupted by SIGINT (Ctrl-C)\n" and out == ""
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=lambda s: s.name)
+    def test_the_helper_dies_with_its_caller(self, sig):
+        """A caller ended by ``sig`` in the middle of a batch, whose halves
+        take seconds, takes its helper along: within 1 s the helper is gone
+        or a zombie."""
+        script = (
+            "from mimobp import cli, sim\n"
+            "sim._cpus = lambda: 2\n"
+            "start = sim._Helper._start\n"
+            "def start_and_tell(self):\n"
+            "    forked = start(self)\n"
+            "    print(self._pid, flush=True)\n"
+            "    return forked\n"
+            "sim._Helper._start = start_and_tell\n"
+            "cli.main(['simulate', '--m', '4', '--n', '4', '--constellation', 'QAM16',\n"
+            "          '--snr-db', '10', '--detectors', 'BP1', '--trials', '100000',\n"
+            "          '--batch-size', '512'])\n")
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+            except FileNotFoundError:
+                return False
+
+        helper = None
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              text=True) as proc:
+            try:
+                helper = int(proc.stdout.readline())
+                time.sleep(0.2)  # both halves are under way
+                proc.send_signal(sig)
+                proc.wait(timeout=60)
+                deadline = time.monotonic() + 1.0
+                while running(helper) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not running(helper)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                if helper is not None and running(helper):
+                    os.kill(helper, signal.SIGKILL)
 
     def test_lattice_run_fits_a_1_gb_address_space(self):
         """512 trials of 4x4 QAM16 ML in one batch once asked for a 1 GiB

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -206,11 +207,8 @@ class TestRunSimulate:
             assert (ra.detector, ra.trials, ra.bit_errors) == (rb.detector, rb.trials, rb.bit_errors)
 
     def test_batch_size_invariant(self):
-        base = dict(snr_db=(8.0,), detectors=("ML", "BP2"), trials=600, seed=6)
-        a = run_simulate(SimConfig(batch_size=64, **base).validate())
-        b = run_simulate(SimConfig(batch_size=600, **base).validate())
-        for ra, rb in zip(a, b):
-            assert (ra.bit_errors, ra.trials, ra.ber) == (rb.bit_errors, rb.trials, rb.ber)
+        _assert_cuts_keep_the_records(run_simulate, dict(
+            snr_db=(8.0,), detectors=("ML", "BP2"), trials=600, seed=6), 64)
 
     def test_target_error_mode_stops_at_exact_prefix(self):
         base = dict(snr_db=(6.0,), detectors=("LMMSE",), trials=100, seed=7,
@@ -324,29 +322,17 @@ class TestRunSimulate:
     @pytest.mark.parametrize("fields", [
         dict(detectors=sim.DETECTORS, gbp_sweeps=30),
         dict(m=3, n=3, constellation="QAM16", detectors=("ML", "MAP", "BP1"))])
-    def test_records_do_not_depend_on_the_trial_blocks(self, monkeypatch, fields):
-        """Records, but for elapsed_s, with blocks of at most two trials (the
-        lattice arms and BP2) equal those with one block per batch."""
-        cfg = SimConfig(snr_db=(4.0, 9.0), trials=23, batch_size=10, seed=41, **fields).validate()
-
-        def records():
-            return [dataclasses.replace(r, elapsed_s=0.0) for r in run_simulate(cfg)]
-
-        monkeypatch.setattr(sim.batch, "_BLOCK_BYTES", 1 << 40)
-        whole = records()
-        monkeypatch.setattr(sim.batch, "_BLOCK_BYTES", 1)
-        monkeypatch.setattr(sim.batch, "_MIN_BLOCK", 2)
-        assert records() == whole
+    def test_records_do_not_depend_on_the_trial_blocks(self, fields):
+        """Blocks of at most two trials (the lattice arms and BP2) move no record."""
+        _assert_cuts_keep_the_records(run_simulate, dict(
+            snr_db=(4.0, 9.0), trials=23, seed=41, **fields), 10, forced=True)
 
     def test_target_error_mode_independent_of_batch_size(self):
-        """Batches of one trial stop where batches of 512 do, for every arm."""
-        base = dict(m=2, n=2, snr_db=(4.0, 9.0), detectors=("LMMSE", "ML", "BP3"), trials=40,
-                    target_errors=60, seed=31)
-        one, many = ([dataclasses.replace(r, elapsed_s=0.0)
-                      for r in run_simulate(SimConfig(batch_size=size, **base).validate())]
-                     for size in (1, 512))
-        assert one == many
-        assert all(r.bit_errors >= 60 for r in one)
+        """Batches of one trial stop where one batch does, for every arm."""
+        records = _assert_cuts_keep_the_records(run_simulate, dict(
+            m=2, n=2, snr_db=(4.0, 9.0), detectors=("LMMSE", "ML", "BP3"), trials=40,
+            target_errors=60, seed=31), 1, forced=True)
+        assert all(r.bit_errors >= 60 for r in records)
 
 
 def _traced(fn, *args):
@@ -414,6 +400,53 @@ def _sans_elapsed(records):
     return [dataclasses.replace(r, elapsed_s=0.0) for r in records]
 
 
+@st.composite
+def cut_runs(draw):
+    """A small simulate or iterstudy config, with target_errors or not, and
+    how to cut its trials: a --batch-size, trial blocks of two trials or
+    not, and one process or two (every batch of two or more trials split)."""
+    m, trials, name = draw(st.integers(1, 4)), draw(st.integers(1, 30)), draw(st.sampled_from(
+        ("QPSK", "QAM16")))
+    fields = dict(m=m, n=draw(st.integers(m, 5)), constellation=name, trials=trials,
+                  snr_db=tuple(draw(st.lists(st.floats(-10.0, 40.0), min_size=1, max_size=2))),
+                  seed=draw(st.integers(0, 2 ** 64 - 1)))
+    if draw(st.booleans()):
+        fields.update(target_errors=draw(st.integers(1, 100)),
+                      max_trials=trials + draw(st.integers(0, 60)))
+    if m >= 2 and draw(st.booleans()):
+        fields.update(detectors=draw(st.sampled_from((("BP2",), ("BP3",), ("BP2", "BP3")))),
+                      iter_list=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))))
+    else:
+        bits = m * get_constellation(name).bits_per_symbol
+        allowed = [d for d in sim.DETECTORS if (m >= 2 or d not in sim.LINKED_DETECTORS + ("FB",))
+                   and (bits <= 8 or d not in sim.LATTICE_DETECTORS)]
+        fields.update(gbp_sweeps=draw(st.integers(1, 40)), detectors=tuple(draw(st.lists(
+            st.sampled_from(allowed), min_size=1, max_size=4, unique=True))))
+    return (run_iterstudy if "iter_list" in fields else run_simulate, fields,
+            draw(st.integers(1, trials + 1)), draw(st.booleans()), draw(st.sampled_from((1, 2))))
+
+
+def _assert_cuts_keep_the_records(run, fields, batch_size, forced=False, lanes=1):
+    """Records, but for elapsed_s, in batches of ``batch_size`` (blocks of two
+    trials if ``forced``, every batch split if ``lanes`` is 2) equal those of
+    one process in batches of --trials; returns them."""
+    with patch.object(sim, "_cpus", lambda: 1):
+        whole = _sans_elapsed(run(SimConfig(**fields, batch_size=fields["trials"]).validate()))
+    with patch.object(sim, "_cpus", lambda: lanes), patch.object(sim, "_LANE_MIN_TRIALS", 1), \
+            patch.object(batch, "_BLOCK_BYTES", 1 if forced else batch._BLOCK_BYTES), \
+            patch.object(batch, "_MIN_BLOCK", 2 if forced else batch._MIN_BLOCK):
+        assert _sans_elapsed(run(SimConfig(**fields, batch_size=batch_size).validate())) == whole
+    return whole
+
+
+@settings(max_examples=50, deadline=None)
+@given(cut_runs())
+def test_records_do_not_depend_on_how_the_trials_are_cut(case):
+    """The regimes random draws seldom reach are pinned by the named tests
+    that call the same check."""
+    _assert_cuts_keep_the_records(*case)
+
+
 def _no_child_left():
     """Whether this process has no child process, exited or running."""
     try:
@@ -462,14 +495,10 @@ class TestLanes:
         # each arm stops at its 150th error, mid-batch, or at the trial cap
         (run_simulate, dict(detectors=("LMMSE", "ML", "BP2", "GBP3G"), target_errors=150))],
         ids=["4x4-all", "8x8-pairwise", "3x3-QAM16-lattice", "iterstudy", "target-errors"])
-    def test_records_do_not_depend_on_the_lanes(self, monkeypatch, run, fields, batch_size, trials):
-        """Records, but for elapsed_s, of one lane equal those of two."""
-        cfg = SimConfig(**{"snr_db": (4.0, 9.0), **fields}, trials=trials, batch_size=batch_size,
-                        seed=47).validate()
-        _lanes(monkeypatch, 1)
-        one = _sans_elapsed(run(cfg))
-        _lanes(monkeypatch, 2)
-        assert _sans_elapsed(run(cfg)) == one
+    def test_records_do_not_depend_on_the_lanes(self, run, fields, batch_size, trials):
+        """Records of two lanes equal those of one."""
+        _assert_cuts_keep_the_records(run, {"snr_db": (4.0, 9.0), "seed": 47, **fields,
+                                            "trials": trials}, batch_size, lanes=2)
 
     @needs_fork
     def test_one_helper_runs_the_second_half_of_every_split(self, monkeypatch, tmp_path):
