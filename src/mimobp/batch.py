@@ -59,6 +59,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .channel import Constellation
+from .discrete_bp import _require_uniform
 from .exact import check_lattice_capacity, lattice_indices
 from .pairwise import ring_order
 
@@ -359,8 +360,10 @@ def bp2_batch(links: LinkTables, constellation: Constellation, iterations: int) 
     sources need no mask. The trials run in ``trial_blocks``: the (M, M, Q,
     Q) log tables and one work table of their shape, with temporaries 2.7
     to 3.3 tables per trial in traced runs, are the largest working set of
-    any pairwise kernel. The block budget counts 5.
+    any pairwise kernel. The block budget counts 5. ValueError for a
+    non-uniform prior, as ``bp2_fully_connected`` raises.
     """
+    _require_uniform(constellation)
     B, m, _ = links.a_diag.shape
     if m == 2:
         return bp3_batch(links, constellation, iterations, order=(0, 1))
@@ -411,7 +414,9 @@ def _ring_sweep(into_f, into_b, log_prior, iterations, order):
 
 def bp3_batch(links: LinkTables, constellation: Constellation, iterations: int,
               order=None) -> np.ndarray:
-    """Beliefs of the ring scheme, full sequential turns; (B, M, Q)."""
+    """Beliefs of the ring scheme, full sequential turns; (B, M, Q).
+    ValueError for a non-uniform prior, as ``bp3_ring`` raises."""
+    _require_uniform(constellation)
     B, m, _ = links.a_diag.shape
     order = ring_order(m, order)
     if m == 1:

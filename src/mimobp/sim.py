@@ -50,7 +50,7 @@ DEFAULT_ITERATIONS = {"BP1": 4, "BP2": 3, "BP3": 4, "FB": 4}
 # the first split of a run, a fork of about 3 ms. On the three benchmark
 # shapes, split runs of 2048 trials were 0.68 to 0.93x as fast as one
 # process at 16 and 32 trials per batch, and 1.14 to 1.39x at 256 (2 vCPUs).
-_LANE_MIN_TRIALS = 256
+_SPLIT_MIN_TRIALS = 256
 
 
 # Left out of the provenance line and the JSON config: the output path, and
@@ -353,25 +353,28 @@ class _Helper:
         self._pid = None  # until the first split
         self._alive = False  # forked and not yet reaped
 
-    def run(self, snr_idx, sigma2, first, count):
-        """``work``'s results on trials [first, first + count), in trial
-        order: whole, or, from ``_LANE_MIN_TRIALS`` trials where a fork is
-        safe, this process's first half and then the helper's second."""
+    def run(self, snr_idx, first, count):
+        """``work``'s result on trials [first, first + count) of SNR point
+        ``snr_idx``: each arm's bit errors per trial, (arms, count) in trial
+        order, and its CPU seconds, (arms,). From ``_SPLIT_MIN_TRIALS``
+        trials where a fork is safe, this process runs the first half and
+        the helper the second, whose errors are joined after this one's and
+        whose seconds are added, so a split batch gives one result too."""
         half = count // 2
-        if count < _LANE_MIN_TRIALS or not half or (self._pid is None and not self._start()):
-            return [self._work(snr_idx, sigma2, first, count)]
+        if count < _SPLIT_MIN_TRIALS or not half or (self._pid is None and not self._start()):
+            return self._work(snr_idx, first, count)
         try:
-            os.write(self._jobs, pickle.dumps((snr_idx, sigma2, first + half, count - half)))
+            os.write(self._jobs, pickle.dumps((snr_idx, first + half, count - half)))
         except BrokenPipeError:
             raise self._lost() from None
-        mine = self._work(snr_idx, sigma2, first, half)
+        mine = self._work(snr_idx, first, half)
         try:
             theirs = pickle.load(self._results)
         except (EOFError, pickle.UnpicklingError):
             raise self._lost() from None
         if isinstance(theirs, BaseException):
             raise theirs
-        return [mine, theirs]
+        return np.concatenate((mine[0], theirs[0]), axis=1), mine[1] + theirs[1]
 
     def _start(self):
         """Fork the helper, if the process is on Linux (``os.fork`` and
@@ -503,13 +506,16 @@ def _run_arms(cfg: SimConfig, arms):
     ``gbp_sweeps`` for GBP and ``iteration_count`` otherwise, and leaves the
     record's ``iterations`` empty.
 
-    Each batch's trials go to ``_batch_errors``, whole or split in two
-    halves by a ``_Helper``: this process runs the first half and a forked
-    helper the second, each generating and detecting its own trials. Every
-    kernel gives a trial the same bits in any partition, and the halves are
-    counted in trial order, so the records do not depend on the split. An
-    arm's ``elapsed_s`` is the CPU time of its kernels (``time.thread_time``
-    of the thread that ran them), summed over both processes.
+    Each batch's trials go to ``_batch_errors`` through a ``_Helper``, which
+    may split them in two halves, this process running the first and a
+    forked helper the second, and joins the helper's half after this one's
+    in trial order. So the loop sees one result per batch, and since every
+    kernel gives a trial the same bits in any partition, the records do not
+    depend on the split. An SNR point ends at the trial cap, or once
+    ``trials`` are done and every arm has ``target_errors``; a fixed-trial
+    run's cap is ``trials``. An arm's ``elapsed_s`` is the CPU time of its
+    kernels (``time.thread_time`` of the thread that ran them), summed over
+    both processes.
     """
     constellation = get_constellation(cfg.constellation)
     lattice = [d for d in cfg.detectors if d in LATTICE_DETECTORS]
@@ -518,44 +524,39 @@ def _run_arms(cfg: SimConfig, arms):
     labels = constellation.bit_labels
     hamming = np.sum(labels[:, None] != labels, axis=2)  # bit errors by (decided, sent) point
     bits_per_trial = cfg.m * constellation.bits_per_symbol
-    counts = [k if k is not None else
-              cfg.gbp_sweeps if d.startswith("GBP") else cfg.iteration_count(d)
-              for d, k in arms]
+    resolved = [(d, k if k is not None else
+                 cfg.gbp_sweeps if d.startswith("GBP") else cfg.iteration_count(d))
+                for d, k in arms]
+    hard_cap = cfg.trials if cfg.target_errors is None else cfg.max_trials or 100 * cfg.trials
+    target = cfg.target_errors or 0
     records = []
-    with _Helper(partial(_batch_errors, cfg, arms, counts, constellation, hamming)) as helper:
+    with _Helper(partial(_batch_errors, cfg, resolved, constellation, hamming)) as helper:
         for snr_idx, snr in enumerate(cfg.snr_db):
-            sigma2 = noise_variance(snr)
-            errors = [[] for _ in arms]
-            totals = [0] * len(arms)
-            elapsed = [0.0] * len(arms)
-            hard_cap = (cfg.trials if cfg.target_errors is None
-                        else cfg.max_trials or 100 * cfg.trials)
+            errors, totals, elapsed = [], np.zeros(len(arms), dtype=np.int64), np.zeros(len(arms))
             done = 0
-            while done < hard_cap:
+            while done < hard_cap and not (done >= cfg.trials and totals.min() >= target):
                 count = min(cfg.batch_size, hard_cap - done)
-                for per_trial, secs in helper.run(snr_idx, sigma2, done, count):
-                    for a in range(len(arms)):
-                        errors[a].append(per_trial[a])
-                        totals[a] += int(per_trial[a].sum())
-                        elapsed[a] += secs[a]
+                per_trial, secs = helper.run(snr_idx, done, count)
+                errors.append(per_trial)
+                totals += per_trial.sum(axis=1)
+                elapsed += secs
                 done += count
-                if _stopping_met(cfg, totals, done):
-                    break
-            for (det, k), chunks, secs in zip(arms, errors, elapsed):
-                per_trial = np.concatenate(chunks)
+            for (det, k), per_trial, secs in zip(arms, np.concatenate(errors, axis=1), elapsed):
                 used = _trials_used(cfg, per_trial)
                 n_err = int(per_trial[:used].sum())
                 n_bits = used * bits_per_trial
                 records.append(BerRecord(detector=det, snr_db=snr, trials=used,
                                          bit_errors=n_err, ber=n_err / n_bits,
                                          ci95=float(_ci95(n_err, n_bits)),
-                                         elapsed_s=secs, iterations=k))
+                                         elapsed_s=float(secs), iterations=k))
     return records
 
 
-def _batch_errors(cfg, arms, counts, constellation, hamming, snr_idx, sigma2, first, n):
+def _batch_errors(cfg, arms, constellation, hamming, snr_idx, first, n):
     """Each arm's bit errors per trial on trials [first, first + n) of SNR
-    point ``snr_idx``, and each arm's CPU seconds in its kernels.
+    point ``snr_idx``, (arms, n), and each arm's CPU seconds in its
+    kernels, (arms,). ``arms`` are (detector, count) pairs with every count
+    resolved.
 
     The posterior is factored once, and the link tables built once, before
     the arm timers: LMMSE, FB and the link tables all read the same
@@ -565,6 +566,7 @@ def _batch_errors(cfg, arms, counts, constellation, hamming, snr_idx, sigma2, fi
     one table for all its trials. No arm's time carries shared work. The
     arms run one after another on these shared inputs, which are read-only.
     """
+    sigma2 = noise_variance(cfg.snr_db[snr_idx])
     H, idx_true, y = generate_batch(cfg, constellation, sigma2, snr_idx, first, n)
     detectors = [d for d, _ in arms]
     factored = any(d in POSTERIOR_DETECTORS for d in detectors)
@@ -573,13 +575,12 @@ def _batch_errors(cfg, arms, counts, constellation, hamming, snr_idx, sigma2, fi
     tables = batch.link_tables(H, y, sigma2, posterior=posterior) if linked else None
     _read_only(H, y, *(posterior or ()), *(vars(tables).values() if tables else ()))
     decided = [[] for _ in arms]  # each arm's decisions, block by block
-    elapsed = [0.0] * len(arms)
+    elapsed = np.zeros(len(arms))
 
     def decide(a, part=slice(None), residuals=None):
         t0 = time.thread_time()
-        decided[a].append(_detect_batch(detectors[a], counts[a], H[part], y[part], sigma2,
-                                        constellation, posterior, tables, residuals,
-                                        cfg.permutation))
+        decided[a].append(_detect_batch(*arms[a], H[part], y[part], sigma2, constellation,
+                                        posterior, tables, residuals, cfg.permutation))
         elapsed[a] += time.thread_time() - t0
 
     on_lattice = [a for a, d in enumerate(detectors) if d in LATTICE_DETECTORS]
@@ -592,27 +593,18 @@ def _batch_errors(cfg, arms, counts, constellation, hamming, snr_idx, sigma2, fi
     for a, d in enumerate(detectors):
         if d not in LATTICE_DETECTORS:
             decide(a)
-    return [hamming[np.concatenate(parts), idx_true].sum(axis=1) for parts in decided], elapsed
+    decisions = np.stack([np.concatenate(parts) for parts in decided])  # (arms, n, M)
+    return hamming[decisions, idx_true].sum(axis=2), elapsed
 
 
 def _trials_used(cfg, per_trial):
-    """Stopping trial for one arm; independent of batch partitioning."""
-    total = per_trial.shape[0]
-    if cfg.target_errors is None:
-        return min(cfg.trials, total)
-    floor = min(cfg.trials, total)
-    cum = np.cumsum(per_trial)
-    reached = np.nonzero(cum >= cfg.target_errors)[0]
-    if reached.size == 0:
-        return total
-    return max(floor, int(reached[0]) + 1)
-
-
-def _stopping_met(cfg, totals, done):
-    """Whether ``done`` trials, with ``totals`` bit errors per arm, end the SNR point."""
-    if cfg.target_errors is None or done < cfg.trials:
-        return done >= cfg.trials
-    return min(totals) >= cfg.target_errors
+    """The trials one arm's record counts, of the ``per_trial`` errors its
+    SNR point drew: the first count from ``trials`` on whose errors reach
+    ``target_errors``, or all of them when none does. A fixed-trial run,
+    whose target is 0, drew exactly ``trials``. Independent of the batch
+    partitioning and of the split."""
+    reached = np.cumsum(per_trial)[cfg.trials - 1:] >= (cfg.target_errors or 0)
+    return cfg.trials + int(np.argmax(reached)) if reached.any() else per_trial.size
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from mimobp import (BpConfig, CapacityError, ChannelInstance, GbpConfig, Topolog
                     gbp3g, get_constellation, lmmse, map_marginals, ml_hard, qpsk)
 from mimobp import batch, exact
 from mimobp.batch import LinkTables
+from mimobp.channel import Constellation
 from mimobp.exact import lattice_indices
 from mimobp.pairwise import PairwiseGraph, PairwiseLink, build_link, ring_order
 from mimobp.sim import SimConfig, generate_batch
@@ -182,6 +183,24 @@ def test_bp3_batch_matches_reference(stacked, perm):
         g = build_graph(ch, yb, Topology.RING, perm)
         ref = bp3_ring(g, c, BpConfig(iterations=4))
         assert np.max(np.abs(beliefs[b] - ref.beliefs)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_discrete_pairwise_batches_refuse_a_non_uniform_prior(m):
+    """BP2 and BP3 raise the ValueError of their oracles, at M = 2, where
+    BP2 runs the ring, and above; no beliefs come back as if uniform."""
+    base = qpsk()
+    # unit-modulus points keep average energy 1 under any prior
+    skew = Constellation("QPSK", base.points, 2, base.bit_labels, np.array([0.4, 0.3, 0.2, 0.1]))
+    H, _, y = generate_batch(SimConfig(m=m, n=m), base, 0.3, 0, 0, 4)
+    t = batch.link_tables(H, y, 0.3)
+    g = build_graph(ChannelInstance(H=H[0], sigma2=0.3), y[0], Topology.RING)
+    with pytest.raises(ValueError, match="uniform"):
+        bp3_ring(g, skew, BpConfig())
+    with pytest.raises(ValueError, match="uniform"):
+        batch.bp2_batch(t, skew, 3)
+    with pytest.raises(ValueError, match="uniform"):
+        batch.bp3_batch(t, skew, 3)
 
 
 def test_fb_batch_matches_reference(stacked):

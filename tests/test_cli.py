@@ -223,7 +223,7 @@ class TestExitCodes:
         from mimobp import cli, sim
 
         monkeypatch.setattr(sim, "_cpus", lambda: 2)
-        monkeypatch.setattr(sim, "_LANE_MIN_TRIALS", 1)
+        monkeypatch.setattr(sim, "_SPLIT_MIN_TRIALS", 1)
         generate, parent = sim.generate_batch, os.getpid()
 
         def generate_or_fail(*args):
@@ -246,7 +246,7 @@ class TestExitCodes:
         script = (
             "import os, signal, sys\n"
             "from mimobp import cli, sim\n"
-            "sim._cpus, sim._LANE_MIN_TRIALS = (lambda: 2), 1\n"
+            "sim._cpus, sim._SPLIT_MIN_TRIALS = (lambda: 2), 1\n"
             "generate, parent, calls = sim.generate_batch, os.getpid(), []\n"
             "def generate_or_die(*args):\n"
             "    calls.append(1)\n"

@@ -218,6 +218,32 @@ class TestRunSimulate:
         assert a.trials == b.trials and a.bit_errors == b.bit_errors
         assert a.bit_errors >= 50 and a.trials >= 100
 
+    @pytest.mark.parametrize("target_errors,max_trials,case", [
+        (2, None, "at trials"), (20, None, "at the target"), (10 ** 6, 60, "at the cap")])
+    def test_target_error_records_are_fixed_trial_records(self, target_errors, max_trials, case):
+        """Each arm's record is the fixed-trial record of its own count n:
+        --trials if the first --trials reach the target, else the first count
+        whose errors reach it, else the cap."""
+        base = dict(m=2, n=2, snr_db=(6.0,), seed=50)
+
+        def fixed(det, n):
+            return _sans_elapsed(run_simulate(SimConfig(**base, detectors=(det,),
+                                                        trials=n).validate()))[0]
+
+        records = _sans_elapsed(run_simulate(SimConfig(
+            **base, detectors=("LMMSE", "ML"), trials=20, target_errors=target_errors,
+            max_trials=max_trials).validate()))
+        for rec in records:
+            n = rec.trials
+            assert rec == fixed(rec.detector, n)
+            if case == "at trials":
+                assert n == 20 and rec.bit_errors >= target_errors
+            elif case == "at the target":
+                before = fixed(rec.detector, n - 1).bit_errors
+                assert n > 20 and rec.bit_errors >= target_errors > before
+            else:
+                assert n == max_trials and rec.bit_errors < target_errors
+
     def test_common_random_numbers_pair_detectors(self):
         # identical draws regardless of which detectors run
         cfg1 = SimConfig(snr_db=(8.0,), detectors=("LMMSE",), trials=200, seed=8).validate()
@@ -393,7 +419,7 @@ def _lanes(monkeypatch, count):
     """Force ``count`` lanes: one process, or a split of every batch of two
     or more trials with a forked helper, whatever the CPUs and batch size."""
     monkeypatch.setattr(sim, "_cpus", lambda: count)
-    monkeypatch.setattr(sim, "_LANE_MIN_TRIALS", 1)
+    monkeypatch.setattr(sim, "_SPLIT_MIN_TRIALS", 1)
 
 
 def _sans_elapsed(records):
@@ -432,7 +458,7 @@ def _assert_cuts_keep_the_records(run, fields, batch_size, forced=False, lanes=1
     one process in batches of --trials; returns them."""
     with patch.object(sim, "_cpus", lambda: 1):
         whole = _sans_elapsed(run(SimConfig(**fields, batch_size=fields["trials"]).validate()))
-    with patch.object(sim, "_cpus", lambda: lanes), patch.object(sim, "_LANE_MIN_TRIALS", 1), \
+    with patch.object(sim, "_cpus", lambda: lanes), patch.object(sim, "_SPLIT_MIN_TRIALS", 1), \
             patch.object(batch, "_BLOCK_BYTES", 1 if forced else batch._BLOCK_BYTES), \
             patch.object(batch, "_MIN_BLOCK", 2 if forced else batch._MIN_BLOCK):
         assert _sans_elapsed(run(SimConfig(**fields, batch_size=batch_size).validate())) == whole
@@ -482,7 +508,7 @@ needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_
 
 
 class TestLanes:
-    """A batch of at least _LANE_MIN_TRIALS trials splits into two lanes:
+    """A batch of at least _SPLIT_MIN_TRIALS trials splits into two lanes:
     this process runs the first half, a forked helper the second."""
 
     @pytest.mark.parametrize("batch_size,trials", [(1, 12), (37, 80), (512, 600)])
