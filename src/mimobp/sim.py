@@ -343,9 +343,10 @@ class _Helper:
     forked at the first batch that ``run`` splits and sent every later
     split of the call over a job pipe. It answers with ``work``'s pickled
     result, or the exception ``work`` raised, re-raised here with its type;
-    one that ends without a result raises CapacityError naming its signal.
-    On leaving the ``with`` block it is reaped, and killed first when an
-    exception is leaving, so no process outlives the call.
+    one that ends without a result raises CapacityError naming its signal
+    or exit code. A split that cannot start runs in this process. On
+    leaving the ``with`` block the helper is reaped, and killed first when
+    an exception is leaving, so no process outlives the call.
     """
 
     def __init__(self, work):
@@ -365,12 +366,9 @@ class _Helper:
             return self._work(snr_idx, first, count)
         try:
             os.write(self._jobs, pickle.dumps((snr_idx, first + half, count - half)))
-        except BrokenPipeError:
-            raise self._lost() from None
-        mine = self._work(snr_idx, first, half)
-        try:
+            mine = self._work(snr_idx, first, half)
             theirs = pickle.load(self._results)
-        except (EOFError, pickle.UnpicklingError):
+        except (BrokenPipeError, EOFError, pickle.UnpicklingError):
             raise self._lost() from None
         if isinstance(theirs, BaseException):
             raise theirs
@@ -380,40 +378,45 @@ class _Helper:
         """Fork the helper, if the process is on Linux (``os.fork`` and
         ``os.sched_getaffinity`` both exist; macOS's system BLAS is not safe
         across a fork), may run on two or more CPUs, and has no other Python
-        thread, which could hold a lock the child needs. Whether it forked."""
+        thread, which could hold a lock the child needs. Whether it forked:
+        a pipe or fork that fails for want of fds, memory or processes
+        closes what was opened and declines, and a later batch may try
+        again. This thread blocks SIGINT from before the pipes until the
+        helper is recorded, so a Ctrl-C that it takes in between is raised
+        at the restore, where ``__exit__`` kills and reaps the helper. The
+        mask is this thread's alone: before the fork a BLAS pool thread may
+        still take the signal."""
         if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                 and threading.active_count() == 1 and _cpus() > 1):
             return False
-        jobs, self._jobs = os.pipe()
-        results, sent = os.pipe()
-        caller = os.getpid()
-        with warnings.catch_warnings():
-            # Python 3.12 warns at a fork of any process with two or more OS
-            # threads. No Python thread but this one runs (checked above), and
-            # OpenBLAS, whose pool is the usual other thread, shuts that pool
-            # down before a fork and starts it again when next called.
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            try:
-                # PR_SET_PDEATHSIG (1): the kernel kills this helper when its
-                # caller dies, also by a signal that runs no Python code
-                prctl = ctypes.CDLL(None, use_errno=True).prctl
-                prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-                prctl(1, signal.SIGKILL)
-            except (OSError, AttributeError):  # no prctl: the helper ends at its next write
-                pass
-            if os.getppid() != caller:  # the caller died before the call
-                os._exit(1)
-            os.close(self._jobs)
-            os.close(results)
-            _serve(self._work, jobs, sent)
-        self._pid, self._alive = pid, True
-        os.close(jobs)
-        os.close(sent)
-        self._results = os.fdopen(results, "rb")
-        return True
+        caller, fds = os.getpid(), []
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12 warns at a fork of any process with two or more OS
+                # threads. No Python thread but this one runs (checked above), and
+                # OpenBLAS, whose pool is the usual other thread, shuts that pool
+                # down before a fork and starts it again when next called.
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+                if pid == 0:
+                    _serve(self._work, caller, *fds)  # the child's one statement: it never returns
+        except OSError:  # no fd, memory or process to spare: this run goes on in one process
+            for fd in fds:
+                os.close(fd)
+            return False
+        else:
+            jobs, self._jobs, results, sent = fds
+            self._results = os.fdopen(results, "rb")
+            self._pid, self._alive = pid, True  # from here on __exit__ kills and reaps it
+            os.close(jobs)
+            os.close(sent)
+            return True
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def _lost(self):
         """The error for a helper that ended without a result, once reaped."""
@@ -421,9 +424,10 @@ class _Helper:
         self._alive = False
         how = (f"exit code {code}" if code >= 0 else
                "signal " + next((s.name for s in signal.Signals if s == -code), str(-code)))
+        hint = (" (the out-of-memory killer sends SIGKILL; a smaller --batch-size needs less "
+                "memory)" if code == -signal.SIGKILL else "")
         return CapacityError(f"the helper process that runs half of each batch ended by {how} "
-                             f"without a result (the out-of-memory killer sends SIGKILL; a "
-                             f"smaller --batch-size needs less memory)")
+                             f"without a result{hint}")
 
     def __enter__(self):
         return self
@@ -440,23 +444,33 @@ class _Helper:
             self._alive = False
 
 
-def _serve(work, jobs, results):
-    """The helper's life: call ``work`` on each job read from fd ``jobs``
-    and write its pickled result, or the exception it raised, to fd
-    ``results``, until the jobs end. It never returns: it leaves through
-    ``os._exit``, so no atexit handler runs and no stdio buffer copied from
-    the parent is flushed a second time. Ctrl-C reaches the parent, which
-    kills it, so it ignores SIGINT; a parent ended by any other signal takes
-    it along (see ``_Helper._start``)."""
+def _serve(work, caller, jobs, to_jobs, results, sent):
+    """The helper's life, from the fork on: call ``work`` on each job read
+    from fd ``jobs`` and write its pickled result, or the exception it
+    raised, to fd ``sent``, until the jobs end; ``to_jobs`` and ``results``
+    are the caller's ends. It never returns: whatever happens, it leaves
+    through ``os._exit``, exit code 0 once the jobs end and 1 otherwise, so
+    no atexit handler runs, no stdio buffer copied from the caller is
+    flushed a second time and no exception unwinds into the caller's code.
+    It keeps the SIGINT block it was forked with: Ctrl-C reaches the caller,
+    which kills it, and a caller ended by any other signal takes it along."""
     code = 1
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        with os.fdopen(jobs, "rb") as reader, os.fdopen(results, "wb") as writer:
-            while True:
-                try:
-                    job = pickle.load(reader)
-                except EOFError:
-                    break
+        try:
+            # PR_SET_PDEATHSIG (1): the kernel kills this helper when its
+            # caller dies, also by a signal that runs no Python code
+            prctl = ctypes.CDLL(None, use_errno=True).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(1, signal.SIGKILL)
+        except (OSError, AttributeError):  # no prctl: the helper ends at its next write
+            pass
+        if os.getppid() != caller:  # the caller died before the call
+            return
+        os.close(to_jobs)
+        os.close(results)
+        with os.fdopen(jobs, "rb") as reader, os.fdopen(sent, "wb") as writer:
+            while reader.peek(1):  # empty once the caller closes its end
+                job = pickle.load(reader)
                 try:
                     out = pickle.dumps(work(*job))
                 except Exception as exc:  # raised again in the parent

@@ -305,6 +305,65 @@ class TestExitCodes:
         assert err == "interrupted by SIGINT (Ctrl-C)\n" and out == ""
 
     @needs_fork
+    def test_a_helper_that_fails_before_its_jobs_exits_three(self):
+        """The helper's first call raises KeyboardInterrupt, as a Ctrl-C
+        there would. It leaves through its own exit, so the caller's code
+        runs once: exit 3 naming the helper's exit code, without the
+        out-of-memory hint of a helper killed by SIGKILL."""
+        script = (
+            "import os, sys\n"
+            "from mimobp import cli, sim\n"
+            "sim._cpus, sim._SPLIT_MIN_TRIALS = (lambda: 2), 1\n"
+            "cdll, parent = sim.ctypes.CDLL, os.getpid()\n"
+            "def cdll_or_interrupt(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        raise KeyboardInterrupt\n"
+            "    return cdll(*args, **kwargs)\n"
+            "sim.ctypes.CDLL = cdll_or_interrupt\n"
+            "code = cli.main(['simulate', '--snr-db', '8', '--trials', '80', '--batch-size', '40',\n"
+            "                 '--detectors', 'BP2,GBP2G'])\n"
+            "print('main returned', flush=True)\n"
+            "sys.exit(code)\n")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=120)
+        assert res.stdout == "main returned\n"
+        assert res.returncode == 3, res.stderr
+        assert "exit code 1" in res.stderr and "out-of-memory" not in res.stderr
+
+    @needs_fork
+    def test_ctrl_c_just_after_the_fork_leaves_no_child(self):
+        """SIGINT reaches the caller right after the fork returns, before
+        the helper is recorded. It is raised only once the helper is
+        recorded, so the run still kills and reaps it."""
+        script = (
+            "import os, signal, time\n"
+            "from mimobp import sim\n"
+            "sim._cpus, sim._SPLIT_MIN_TRIALS = (lambda: 2), 1\n"
+            "fork, parent = os.fork, os.getpid()\n"
+            "def fork_and_interrupt():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        os.kill(parent, signal.SIGINT)\n"
+            "    return pid\n"
+            "os.fork = fork_and_interrupt\n"
+            "try:\n"
+            "    sim.run_simulate(sim.SimConfig(snr_db=(8.0,), detectors=('BP2',), trials=8)\n"
+            "                    .validate())\n"
+            "    print('not interrupted')\n"
+            "except KeyboardInterrupt:\n"
+            "    print('interrupted')\n"
+            "time.sleep(0.5)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    print('a child is left')\n"
+            "except ChildProcessError:\n"
+            "    print('no child')\n")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "interrupted\nno child\n"
+
+    @needs_fork
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
     @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=lambda s: s.name)
     def test_the_helper_dies_with_its_caller(self, sig):

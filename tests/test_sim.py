@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -610,6 +612,68 @@ class TestLanes:
             t.join(timeout=120)
             assert not t.is_alive()
         assert got == [expected, expected] and not forks
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts fds in /proc")
+    @pytest.mark.parametrize("fails", ["fork", "second pipe"])
+    def test_a_split_that_cannot_start_runs_in_one_process(self, monkeypatch, fails):
+        """A fork or pipe refused for want of processes or fds leaves the
+        run in this process, with the one-process records and no fd left
+        open; every later batch may try again."""
+        cfg = SimConfig(snr_db=(8.0,), detectors=("BP2", "GBP2G"), trials=120,
+                        batch_size=40, seed=50).validate()
+        _lanes(monkeypatch, 1)
+        expected = _sans_elapsed(run_simulate(cfg))
+        _lanes(monkeypatch, 2)
+        pipe, calls = os.pipe, []
+
+        def fork():
+            calls.append(1)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def every_second_pipe_fails():
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
+
+        if fails == "fork":
+            monkeypatch.setattr(os, "fork", fork)
+        else:
+            monkeypatch.setattr(os, "pipe", every_second_pipe_fails)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert _sans_elapsed(run_simulate(cfg)) == expected
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert _no_child_left()
+        assert len(calls) == (3 if fails == "fork" else 6)  # each of the three batches tried
+
+    @needs_fork
+    def test_the_caller_keeps_its_signal_mask(self, monkeypatch):
+        """SIGINT is blocked in the caller only while the helper starts, and
+        in the helper for all of its life: a caller left with it blocked
+        would never see Ctrl-C again."""
+        _lanes(monkeypatch, 2)
+        pids, fork, blocked = [], os.fork, []
+
+        def fork_and_keep():
+            pids.append(fork())
+            return pids[-1]
+
+        def read_the_helpers_mask():
+            if os.path.isdir("/proc"):
+                with open(f"/proc/{pids[0]}/status") as fh:
+                    mask = next(int(line.split()[1], 16) for line in fh
+                                if line.startswith("SigBlk:"))
+                blocked.append(bool(mask >> (signal.SIGINT - 1) & 1))
+
+        monkeypatch.setattr(os, "fork", fork_and_keep)
+        _act_in(monkeypatch, read_the_helpers_mask, helper=False)
+        before = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        run_simulate(SimConfig(snr_db=(8.0, 9.0), detectors=("BP2",), trials=80,
+                               batch_size=40).validate())
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
+        assert len(pids) == 1 and _no_child_left()
+        assert blocked == ([True] * 4 if os.path.isdir("/proc") else [])
 
     def test_shared_inputs_are_read_only(self, monkeypatch):
         """A kernel that writes into the link tables later arms read raises."""
