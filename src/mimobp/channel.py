@@ -7,7 +7,7 @@ per-dimension variance sigma2 (E[n n^H] = sigma2 * I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,7 +204,6 @@ class TransmitRecord:
     x: np.ndarray
     bits: np.ndarray
     y: np.ndarray
-    trial: int = 0
 
 
 def _bit_rows(m):
@@ -310,31 +309,27 @@ def consecutive_streams(g: np.random.Generator, first, count, *rest):
     return steps()
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def draw_channel(n_tx, n_rx, rng) -> np.ndarray:
     """i.i.d. CN(0, 1) channel matrix of shape (n_rx, n_tx).
 
     Real and imaginary parts are each N(0, 1/2); with a fixed seed the draw
-    is bit-identical across runs.
+    is bit-identical across runs. ``rng`` is a Generator, drawn from in
+    place, or any seed that ``np.random.default_rng`` takes.
     """
     if not (n_rx >= n_tx >= 1):
         raise ValueError(f"need N >= M >= 1, got N={n_rx}, M={n_tx}")
-    g = _as_rng(rng)
+    g = np.random.default_rng(rng)
     return (g.standard_normal((n_rx, n_tx)) + 1j * g.standard_normal((n_rx, n_tx))) / np.sqrt(2.0)
 
 
-def transmit(channel: ChannelInstance, constellation: Constellation, rng, trial: int = 0) -> TransmitRecord:
-    """Draw symbols per the constellation prior, add noise, return y = Hx + n."""
-    g = _as_rng(rng)
+def transmit(channel: ChannelInstance, constellation: Constellation, rng) -> TransmitRecord:
+    """Draw symbols per the constellation prior, add noise, return y = Hx + n.
+    ``rng`` is taken as ``draw_channel`` takes it."""
+    g = np.random.default_rng(rng)
     m = channel.n_tx
     indices = g.choice(constellation.size, size=m, p=constellation.prior)
     x = constellation.points[indices]
     scale = np.sqrt(channel.sigma2 / 2.0)
     noise = scale * (g.standard_normal(channel.n_rx) + 1j * g.standard_normal(channel.n_rx))
     y = channel.H @ x + noise
-    return TransmitRecord(indices=indices, x=x, bits=constellation.bits_for(indices), y=y, trial=trial)
+    return TransmitRecord(indices=indices, x=x, bits=constellation.bits_for(indices), y=y)

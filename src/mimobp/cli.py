@@ -105,7 +105,7 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except KeyboardInterrupt:  # only here: a helper keeps SIGINT blocked, and is reaped by now
+    except KeyboardInterrupt:  # only here: a helper only notes SIGINT, and is reaped by now
         print("interrupted by SIGINT (Ctrl-C)", file=sys.stderr)
         return 130
     return 0

@@ -201,6 +201,12 @@ def gbp3g(graph: PairwiseGraph, config: GbpConfig = GbpConfig()) -> GbpTrace:
     which combines the two incoming messages at each node by precision
     weighting. Stops once the belief means move less than ``tol``. A single
     node has no ring: the belief stays at the unit prior.
+
+    The sweeps read the ring's links directly: the forward message into
+    ring position r crosses the link from order[r - 1] to order[r], the
+    backward one the link from order[r + 1]. It builds none of the affine
+    operators that ``fixed_point`` composes from the same links, so the
+    sweep and the closed form are two computations that check each other.
     """
     if graph.n_nodes == 1:
         return GbpTrace(means=np.zeros((1, 1), dtype=complex), variances=np.ones((1, 1)),
@@ -208,19 +214,17 @@ def gbp3g(graph: PairwiseGraph, config: GbpConfig = GbpConfig()) -> GbpTrace:
                         message_means=np.zeros(1, dtype=complex), message_vars=np.ones(1),
                         backward_means=np.zeros(1, dtype=complex), backward_vars=np.ones(1),
                         order=graph.order)
-    ops = affine_ops(graph)
-    m, order = ops.n_nodes, ops.order
+    _ring_like(graph)
+    m, order = graph.n_nodes, graph.order
     inv = np.argsort(order)
 
-    def into(hops, step, dtype):
-        """Offsets and slopes of the hop into each position r, which is op r - step."""
-        return (np.roll(np.array([op.offset for op in hops], dtype=dtype), step),
-                np.roll(np.array([op.slope for op in hops], dtype=dtype), step))
+    def into(step):
+        """u, v, u_var and v_var of the links into each position r, from r - step."""
+        links = [graph.link(order[r], order[(r - step) % m]) for r in range(m)]
+        return [np.array([getattr(lk, name) for lk in links]) for name in ("u", "v", "u_var", "v_var")]
 
-    u_f, v_f = into(ops.forward_mean, 1, complex)
-    uv_f, vv_f = into(ops.forward_var, 1, float)
-    u_b, v_b = into(ops.backward_mean, -1, complex)
-    uv_b, vv_b = into(ops.backward_var, -1, float)
+    u_f, v_f, uv_f, vv_f = into(1)
+    u_b, v_b, uv_b, vv_b = into(-1)
 
     mu_f = np.full(m, config.init_mean, dtype=complex)
     var_f = np.full(m, config.init_var)

@@ -210,8 +210,6 @@ def parse_config_text(text: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key == "detector":
-                key = "detectors"
             if key.startswith("iterations."):
                 det = key.split(".", 1)[1].upper()
                 if det not in DETECTORS:
@@ -381,16 +379,18 @@ class _Helper:
         thread, which could hold a lock the child needs. Whether it forked:
         a pipe or fork that fails for want of fds, memory or processes
         closes what was opened and declines, and a later batch may try
-        again. This thread blocks SIGINT from before the pipes until the
-        helper is recorded, so a Ctrl-C that it takes in between is raised
-        at the restore, where ``__exit__`` kills and reaps the helper. The
-        mask is this thread's alone: before the fork a BLAS pool thread may
-        still take the signal."""
+        again. From before the pipes until the helper is recorded, SIGINT
+        runs a handler that only notes it. Whichever OS thread takes the
+        signal, a BLAS pool's included, Python runs that handler in this
+        one, the main thread (the only Python thread, checked above). The
+        old handler is restored after, and a noted Ctrl-C raised again
+        there, where ``__exit__`` kills and reaps the helper. The helper
+        keeps the noting handler."""
         if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                 and threading.active_count() == 1 and _cpus() > 1):
             return False
-        caller, fds = os.getpid(), []
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        caller, fds, held = os.getpid(), [], []
+        handler = signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
         try:
             fds += os.pipe()
             fds += os.pipe()
@@ -416,7 +416,9 @@ class _Helper:
             os.close(sent)
             return True
         finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            signal.signal(signal.SIGINT, handler)
+            if held:
+                signal.raise_signal(signal.SIGINT)
 
     def _lost(self):
         """The error for a helper that ended without a result, once reaped."""
@@ -452,8 +454,9 @@ def _serve(work, caller, jobs, to_jobs, results, sent):
     through ``os._exit``, exit code 0 once the jobs end and 1 otherwise, so
     no atexit handler runs, no stdio buffer copied from the caller is
     flushed a second time and no exception unwinds into the caller's code.
-    It keeps the SIGINT block it was forked with: Ctrl-C reaches the caller,
-    which kills it, and a caller ended by any other signal takes it along."""
+    It keeps the SIGINT handler it was forked with, which only notes the
+    signal: Ctrl-C ends the caller, which kills it, and a caller ended by
+    any other signal takes it along."""
     code = 1
     try:
         try:

@@ -29,6 +29,22 @@ class TestDrawChannel:
             draw_channel(4, 2, 0)
 
 
+def test_a_generator_is_drawn_from_in_place():
+    """``draw_channel`` and ``transmit`` draw from a Generator they are
+    given, not from a copy: two calls on it draw what the same two calls
+    draw on a twin, and the second call's draw follows the first's."""
+    g, twin = np.random.default_rng(8), np.random.default_rng(8)
+    ch = ChannelInstance(H=draw_channel(3, 4, g), sigma2=0.3)
+    c = qam16()
+    first, second = transmit(ch, c, g), transmit(ch, c, g)
+    assert np.array_equal(ch.H, draw_channel(3, 4, twin))
+    for rec in (first, second):
+        again = transmit(ch, c, twin)
+        assert np.array_equal(rec.indices, again.indices) and np.array_equal(rec.y, again.y)
+    assert not np.array_equal(first.y, second.y)
+    assert np.array_equal(draw_channel(2, 2, g), draw_channel(2, 2, twin))
+
+
 class TestConstellations:
     @pytest.mark.parametrize("c", [qpsk(), qam16()])
     def test_prior_and_energy(self, c):

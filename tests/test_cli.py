@@ -178,6 +178,15 @@ class TestExitCodes:
         res = run_cli("simulate", "--config", "/nonexistent/path.cfg")
         assert res.returncode == 2
 
+    def test_a_config_line_of_an_unknown_key_exits_two(self, tmp_path):
+        """``detector``, short for ``detectors``, is a key like any other
+        that SimConfig lacks: exit 2 naming the key, and no run."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("detector = ML\n")
+        res = run_cli("simulate", "--config", str(cfgfile), "--trials", "5")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "config error: line 1: unknown key 'detector'\n"
+
     def test_capacity_error(self):
         res = run_cli("simulate", "--m", "16", "--n", "16",
                       "--constellation", "QAM16", "--detectors", "MAP",
@@ -362,6 +371,51 @@ class TestExitCodes:
                              timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "interrupted\nno child\n"
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_ctrl_c_that_a_blas_thread_takes_during_the_start_leaves_no_child(self):
+        """SIGINT sent to the process during the helper's start, while a
+        BLAS pool thread runs, which may take it, so a mask of the calling
+        thread alone would not hold it back. It is raised only once the
+        helper is recorded, so the run still kills and reaps it and closes
+        every pipe."""
+        script = (
+            "import os, signal, time\n"
+            "import numpy as np\n"
+            "from mimobp import sim\n"
+            "a = np.ones((400, 400))\n"
+            "a @ a  # starts the BLAS pool\n"
+            "print(len(os.listdir('/proc/self/task')), flush=True)\n"
+            "sim._cpus, sim._SPLIT_MIN_TRIALS = (lambda: 2), 1\n"
+            "pipe, parent, calls = os.pipe, os.getpid(), []\n"
+            "def interrupt_and_pipe():\n"
+            "    if not calls:\n"
+            "        calls.append(1)\n"
+            "        os.kill(parent, signal.SIGINT)\n"
+            "    return pipe()\n"
+            "os.pipe = interrupt_and_pipe\n"
+            "fds = len(os.listdir('/proc/self/fd'))\n"
+            "try:\n"
+            "    sim.run_simulate(sim.SimConfig(snr_db=(8.0,), detectors=('BP2',), trials=8)\n"
+            "                    .validate())\n"
+            "    print('not interrupted')\n"
+            "except KeyboardInterrupt:\n"
+            "    print('interrupted')\n"
+            "time.sleep(0.5)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    print('a child is left')\n"
+            "except ChildProcessError:\n"
+            "    print('no child')\n"
+            "print(len(os.listdir('/proc/self/fd')) - fds, 'fds left open')\n")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        threads, rest = res.stdout.split("\n", 1)
+        if threads == "1":
+            pytest.skip("no BLAS pool thread: only the caller can take the signal")
+        assert rest == "interrupted\nno child\n0 fds left open\n"
 
     @needs_fork
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")

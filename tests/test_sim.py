@@ -649,11 +649,12 @@ class TestLanes:
 
     @needs_fork
     def test_the_caller_keeps_its_signal_mask(self, monkeypatch):
-        """SIGINT is blocked in the caller only while the helper starts, and
-        in the helper for all of its life: a caller left with it blocked
-        would never see Ctrl-C again."""
+        """SIGINT is caught by a handler that only notes it in the caller
+        while the helper starts, and in the helper for all of its life: a
+        caller left with that handler, or with SIGINT blocked, would never
+        see Ctrl-C again."""
         _lanes(monkeypatch, 2)
-        pids, fork, blocked = [], os.fork, []
+        pids, fork, caught = [], os.fork, []
 
         def fork_and_keep():
             pids.append(fork())
@@ -663,17 +664,20 @@ class TestLanes:
             if os.path.isdir("/proc"):
                 with open(f"/proc/{pids[0]}/status") as fh:
                     mask = next(int(line.split()[1], 16) for line in fh
-                                if line.startswith("SigBlk:"))
-                blocked.append(bool(mask >> (signal.SIGINT - 1) & 1))
+                                if line.startswith("SigCgt:"))
+                caught.append(bool(mask >> (signal.SIGINT - 1) & 1))
 
         monkeypatch.setattr(os, "fork", fork_and_keep)
         _act_in(monkeypatch, read_the_helpers_mask, helper=False)
-        before = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        def signal_state():
+            return signal.pthread_sigmask(signal.SIG_BLOCK, []), signal.getsignal(signal.SIGINT)
+
+        before = signal_state()
         run_simulate(SimConfig(snr_db=(8.0, 9.0), detectors=("BP2",), trials=80,
                                batch_size=40).validate())
-        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
+        assert signal_state() == before
         assert len(pids) == 1 and _no_child_left()
-        assert blocked == ([True] * 4 if os.path.isdir("/proc") else [])
+        assert caught == ([True] * 4 if os.path.isdir("/proc") else [])
 
     def test_shared_inputs_are_read_only(self, monkeypatch):
         """A kernel that writes into the link tables later arms read raises."""
